@@ -506,6 +506,7 @@ let tiered_steady_state () =
 module Gen = Nullelim.Gen
 module Diff = Nullelim.Diff
 module NB = Nullelim_experiments.Native_bench
+module Schemas = Nullelim_experiments.Schemas
 
 type fuzz_bench = {
   fb_programs : int;
@@ -684,7 +685,7 @@ let write_json path ~tables ~compile_rows ~breakdown ~deltas ~checks
   let j =
     Obj
       [
-        ("schema", Str "nullelim-bench/1");
+        ("schema", Str Schemas.bench);
         ("scale", Int scale);
         ("repeat", Int repeat);
         ( "tables",
@@ -842,6 +843,9 @@ let write_json path ~tables ~compile_rows ~breakdown ~deltas ~checks
         ("metrics", Obs.Metrics.snapshot wl.Compiler.metrics);
       ]
   in
+  (match Schemas.validate j with
+  | Ok _ -> ()
+  | Error e -> failwith ("bench report fails its own schema: " ^ e));
   let oc = open_out path in
   output_string oc (Json.to_string j);
   output_char oc '\n';

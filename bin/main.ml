@@ -8,6 +8,7 @@ module PR = Nullelim_experiments.Profile_report
 module SS = Nullelim_experiments.Steady_state
 module LG = Nullelim_experiments.Loadgen
 module NB = Nullelim_experiments.Native_bench
+module Schemas = Nullelim_experiments.Schemas
 
 let arch_conv =
   let parse s =
@@ -112,6 +113,117 @@ let print_stats (compiled : Compiler.compiled) =
   match Compiler.reconcile compiled with
   | Ok () -> Fmt.pr "  log reconciles with check stats@."
   | Error e -> Fmt.pr "  WARNING: %s@." e
+
+(* --- JSON documents ------------------------------------------------ *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s =
+  Out_channel.with_open_text path (fun oc -> output_string oc s)
+
+let read_json path =
+  match Json.of_string (read_file path) with
+  | Ok j -> j
+  | Error e ->
+    Fmt.epr "%s: JSON parse error: %s@." path e;
+    exit 1
+
+let write_json path doc = write_file path (Json.to_string doc ^ "\n")
+
+(* A producer whose document fails the registry is a bug: stop before
+   anything is written. *)
+let check_doc ~what doc =
+  match Schemas.validate doc with
+  | Ok _ -> ()
+  | Error e ->
+    Fmt.epr "internal error: %s document fails its own schema: %s@." what e;
+    exit 1
+
+(* replace-or-append one member of a JSON object document *)
+let set_member name v = function
+  | Json.Obj fields ->
+    Json.Obj (List.filter (fun (k, _) -> k <> name) fields @ [ (name, v) ])
+  | _ -> Json.Obj [ (name, v) ]
+
+(* The document options of a command whose result is stored under [key]
+   in a bench report: where to write the document, which report to merge
+   it into, and which baseline to gate it against. *)
+type report = {
+  key : string;
+  out : string option;
+  merge : string option;
+  baseline : string option;
+}
+
+let report_term ~key ~flags ~gate =
+  let open Cmdliner in
+  let out =
+    Arg.(
+      value
+      & opt (some string) None
+      & info flags ~docv:"FILE"
+          ~doc:(Printf.sprintf "Write the %s document to $(docv)." key))
+  and merge =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "merge" ] ~docv:"FILE"
+          ~doc:
+            (Printf.sprintf
+               "Merge the %s document into a bench report (e.g. \
+                BENCH_results.json) under the `%s' key, creating the file \
+                if absent."
+               key key))
+  and baseline =
+    Arg.(
+      value
+      & opt (some file) None
+      & info [ "baseline" ] ~docv:"FILE"
+          ~doc:
+            (Printf.sprintf
+               "Gate the fresh run against a committed baseline (the \
+                `%s' member of a bench report, or a bare document); %s."
+               key gate))
+  in
+  Term.(
+    const (fun out merge baseline -> { key; out; merge; baseline })
+    $ out $ merge $ baseline)
+
+(* Check the document against the registry, then write and merge it. *)
+let publish r doc =
+  let key = r.key in
+  check_doc ~what:key doc;
+  Option.iter
+    (fun path ->
+      write_json path doc;
+      Fmt.pr "%s document written to %s@." key path)
+    r.out;
+  Option.iter
+    (fun path ->
+      let report =
+        if Sys.file_exists path then read_json path
+        else Json.Obj [ ("schema", Json.Str Schemas.bench) ]
+      in
+      write_json path (set_member key doc report);
+      Fmt.pr "%s section merged into %s@." key path)
+    r.merge
+
+(* Gate the fresh run against the baseline's [key] member (or the bare
+   baseline document): print drift, exit 1 on a regression. *)
+let gate r check =
+  Option.iter
+    (fun path ->
+      let b = read_json path in
+      match check (Option.value ~default:b (Json.member r.key b)) with
+      | Ok [] -> Fmt.pr "@.baseline check: OK (no regressions, no drift)@."
+      | Ok drift ->
+        Fmt.pr "@.baseline check: OK, with drift:@.";
+        List.iter (fun d -> Fmt.pr "  %s@." d) drift
+      | Error regs ->
+        Fmt.epr "@.baseline check FAILED:@.";
+        List.iter (fun e -> Fmt.epr "  %s@." e) regs;
+        exit 1)
+    r.baseline
 
 (* --- list ---------------------------------------------------------- *)
 
@@ -283,10 +395,8 @@ let native_bench_cmd =
     match json with
     | None -> ()
     | Some path ->
-      let oc = open_out path in
-      output_string oc (Json.to_string member);
-      output_char oc '\n';
-      close_out oc;
+      check_doc ~what:"native-bench" member;
+      write_json path member;
       Fmt.pr "JSON written to %s@." path
   in
   let iters_arg =
@@ -361,24 +471,6 @@ let verify_cmd =
 
 (* --- profile ------------------------------------------------------- *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let write_file path s =
-  let oc = open_out path in
-  output_string oc s;
-  close_out oc
-
-(* replace-or-append one member of a JSON object document *)
-let set_member name v = function
-  | Json.Obj fields ->
-    Json.Obj (List.filter (fun (k, _) -> k <> name) fields @ [ (name, v) ])
-  | _ -> Json.Obj [ (name, v) ]
-
 let profile_cmd =
   let doc =
     "Profile every registry workload under the \
@@ -393,43 +485,13 @@ let profile_cmd =
       & opt string "PROFILE_report.md"
       & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Markdown report output path.")
   in
-  let json_arg =
-    Cmdliner.Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Also write the dynamic-elimination document (versioned \
-             nullelim-dynamic schema) to $(docv).")
+  let report_arg =
+    report_term ~key:"dynamic" ~flags:[ "json" ]
+      ~gate:
+        "exit 1 if any workload x config executes more dynamic null checks \
+         than recorded"
   in
-  let merge_arg =
-    Cmdliner.Arg.(
-      value
-      & opt (some string) None
-      & info [ "merge" ] ~docv:"FILE"
-          ~doc:
-            "Merge the dynamic-elimination document into an existing \
-             bench report (e.g. BENCH_results.json) under the `dynamic' \
-             key, creating the file if absent.")
-  in
-  let baseline_arg =
-    Cmdliner.Arg.(
-      value
-      & opt (some file) None
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:
-            "Check fresh dynamic check counts against a committed \
-             baseline document; exit 1 if any workload x config executes \
-             more dynamic null checks than recorded.")
-  in
-  let write_baseline_arg =
-    Cmdliner.Arg.(
-      value
-      & opt (some string) None
-      & info [ "write-baseline" ] ~docv:"FILE"
-          ~doc:"Record the fresh dynamic counts as the new baseline.")
-  in
-  let run arch scale out json_out merge baseline write_baseline =
+  let run arch scale out report =
     let all = PR.collect_all ~scale ~arch () in
     (* report_md reconciles every run and raises on any mismatch *)
     let md = try PR.report_md ~scale all with Failure e ->
@@ -438,31 +500,7 @@ let profile_cmd =
     in
     write_file out md;
     Fmt.pr "markdown report written to %s@." out;
-    let dyn = PR.dynamic_json ~scale all in
-    (match PR.validate_dynamic dyn with
-    | Ok () -> ()
-    | Error e ->
-      Fmt.epr "internal error: dynamic document fails its own schema: %s@." e;
-      exit 1);
-    (match json_out with
-    | Some path ->
-      write_file path (Json.to_string dyn ^ "\n");
-      Fmt.pr "dynamic document written to %s@." path
-    | None -> ());
-    (match merge with
-    | Some path ->
-      let doc =
-        if Sys.file_exists path then
-          match Json.of_string (read_file path) with
-          | Ok j -> j
-          | Error e ->
-            Fmt.epr "%s: JSON parse error: %s@." path e;
-            exit 1
-        else Json.Obj [ ("schema", Json.Str "nullelim-bench/1") ]
-      in
-      write_file path (Json.to_string (set_member "dynamic" dyn doc) ^ "\n");
-      Fmt.pr "dynamic section merged into %s@." path
-    | None -> ());
+    publish report (PR.dynamic_json ~scale all);
     (* summary table on stdout *)
     Fmt.pr "@.%-18s %-22s %10s %10s %8s %8s@." "workload" "config" "explicit"
       "implicit" "elim%" "impl%";
@@ -475,37 +513,11 @@ let profile_cmd =
               e.PR.er_pct_eliminated e.PR.er_pct_implicit)
           (PR.elim_rows runs))
       all;
-    (match write_baseline with
-    | Some path ->
-      write_file path (Json.to_string dyn ^ "\n");
-      Fmt.pr "@.baseline written to %s@." path
-    | None -> ());
-    match baseline with
-    | None -> ()
-    | Some path -> (
-      match Json.of_string (read_file path) with
-      | Error e ->
-        Fmt.epr "%s: JSON parse error: %s@." path e;
-        exit 1
-      | Ok b -> (
-        (* the committed baseline groups the per-schema documents under
-           member keys (like BENCH_results.json); bare dynamic docs
-           from older baselines still work *)
-        let b = match Json.member "dynamic" b with Some d -> d | None -> b in
-        match PR.check_against_baseline ~baseline:b all with
-        | Ok [] -> Fmt.pr "@.baseline check: OK (no regressions, no drift)@."
-        | Ok drift ->
-          Fmt.pr "@.baseline check: OK, with drift:@.";
-          List.iter (fun d -> Fmt.pr "  %s@." d) drift
-        | Error regs ->
-          Fmt.epr "@.baseline check FAILED:@.";
-          List.iter (fun r -> Fmt.epr "  %s@." r) regs;
-          exit 1))
+    gate report (fun baseline ->
+        PR.check_against_baseline ~baseline all)
   in
   Cmdliner.Cmd.v (Cmdliner.Cmd.info "profile" ~doc)
-    Cmdliner.Term.(
-      const run $ arch_arg $ scale_arg $ out_arg $ json_arg $ merge_arg
-      $ baseline_arg $ write_baseline_arg)
+    Cmdliner.Term.(const run $ arch_arg $ scale_arg $ out_arg $ report_arg)
 
 (* --- batch --------------------------------------------------------- *)
 
@@ -664,45 +676,13 @@ let tiered_cmd =
       & opt string "TIERED_report.md"
       & info [ "o"; "out" ] ~docv:"FILE" ~doc:"Markdown report output path.")
   in
-  let json_arg =
-    Cmdliner.Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:
-            "Also write the tiered document (versioned nullelim-tiered \
-             schema) to $(docv).")
+  let report_arg =
+    report_term ~key:"tiered" ~flags:[ "json" ]
+      ~gate:
+        "exit 1 on any steady-state regression or promotion/deopt counter \
+         drift"
   in
-  let merge_arg =
-    Cmdliner.Arg.(
-      value
-      & opt (some string) None
-      & info [ "merge" ] ~docv:"FILE"
-          ~doc:
-            "Merge the tiered document into an existing bench report \
-             (e.g. BENCH_results.json) under the `tiered' key, creating \
-             the file if absent.")
-  in
-  let baseline_arg =
-    Cmdliner.Arg.(
-      value
-      & opt (some file) None
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:
-            "Check fresh steady-state check counts and promotion/deopt \
-             counters against a committed baseline document (its \
-             `tiered' member if present); exit 1 on any steady-state \
-             regression or counter drift.")
-  in
-  let write_baseline_arg =
-    Cmdliner.Arg.(
-      value
-      & opt (some string) None
-      & info [ "write-baseline" ] ~docv:"FILE"
-          ~doc:"Record the fresh tiered document as the new baseline.")
-  in
-  let run arch jobs runs promote_calls out json_out merge baseline
-      write_baseline =
+  let run arch jobs runs promote_calls out report =
     let config =
       if promote_calls <= 0 then Config.new_full
       else { Config.new_full with Config.promote_calls }
@@ -742,31 +722,7 @@ let tiered_cmd =
     end;
     write_file out (SS.report_md rows fd);
     Fmt.pr "markdown report written to %s@." out;
-    let doc = SS.tiered_json ~mode rows fd in
-    (match SS.validate_tiered doc with
-    | Ok () -> ()
-    | Error e ->
-      Fmt.epr "internal error: tiered document fails its own schema: %s@." e;
-      exit 1);
-    (match json_out with
-    | Some path ->
-      write_file path (Json.to_string doc ^ "\n");
-      Fmt.pr "tiered document written to %s@." path
-    | None -> ());
-    (match merge with
-    | Some path ->
-      let report =
-        if Sys.file_exists path then
-          match Json.of_string (read_file path) with
-          | Ok j -> j
-          | Error e ->
-            Fmt.epr "%s: JSON parse error: %s@." path e;
-            exit 1
-        else Json.Obj [ ("schema", Json.Str "nullelim-bench/1") ]
-      in
-      write_file path (Json.to_string (set_member "tiered" doc report) ^ "\n");
-      Fmt.pr "tiered section merged into %s@." path
-    | None -> ());
+    publish report (SS.tiered_json ~mode rows fd);
     (* summary table on stdout *)
     Fmt.pr "@.%-12s %6s %8s %8s %8s %6s %6s %6s %9s@." "workload" "peak"
       "tier0" "steady" "full" "promo" "deopt" "traps" "recomp(s)";
@@ -783,34 +739,13 @@ let tiered_cmd =
       fd.SS.fd_trapped
       (String.concat "; " (List.map string_of_int fd.SS.fd_deopted))
       fd.SS.fd_only_offending;
-    (match write_baseline with
-    | Some path ->
-      write_file path (Json.to_string doc ^ "\n");
-      Fmt.pr "@.baseline written to %s@." path
-    | None -> ());
-    match baseline with
-    | None -> ()
-    | Some path -> (
-      match Json.of_string (read_file path) with
-      | Error e ->
-        Fmt.epr "%s: JSON parse error: %s@." path e;
-        exit 1
-      | Ok b -> (
-        let b = match Json.member "tiered" b with Some t -> t | None -> b in
-        match SS.check_against_baseline ~baseline:b rows with
-        | Ok [] -> Fmt.pr "@.baseline check: OK (no regressions, no drift)@."
-        | Ok drift ->
-          Fmt.pr "@.baseline check: OK, with drift:@.";
-          List.iter (fun d -> Fmt.pr "  %s@." d) drift
-        | Error regs ->
-          Fmt.epr "@.baseline check FAILED:@.";
-          List.iter (fun r -> Fmt.epr "  %s@." r) regs;
-          exit 1))
+    gate report (fun baseline ->
+        SS.check_against_baseline ~baseline rows)
   in
   Cmdliner.Cmd.v (Cmdliner.Cmd.info "tiered" ~doc)
     Cmdliner.Term.(
       const run $ arch_arg $ jobs_arg $ runs_arg $ promote_arg $ out_arg
-      $ json_arg $ merge_arg $ baseline_arg $ write_baseline_arg)
+      $ report_arg)
 
 (* --- fuzz ---------------------------------------------------------- *)
 
@@ -1013,10 +948,9 @@ let fuzz_cmd =
     (match out with
     | None -> ()
     | Some path ->
-      let oc = open_out path in
-      output_string oc (Json.to_string (Fuzz_report.to_json report));
-      output_char oc '\n';
-      close_out oc);
+      let doc = Fuzz_report.to_json report in
+      check_doc ~what:"fuzz" doc;
+      write_json path doc);
     let d = !dist in
     Fmt.pr "fuzz         : %d programs (master seed %d, gen v%d, size %d)@."
       count master Gen.gen_version size;
@@ -1136,12 +1070,8 @@ let emit_timelines ?out recorder =
   | None -> ()
   | Some path ->
     let doc = Obs.Timeline.to_json ~dropped tls in
-    (match Obs.Timeline.validate doc with
-    | Ok () -> ()
-    | Error e ->
-      Fmt.epr "internal error: timeline document fails its own schema: %s@." e;
-      exit 1);
-    write_file path (Json.to_string doc ^ "\n");
+    check_doc ~what:"timeline" doc;
+    write_json path doc;
     Fmt.pr "timeline document written to %s@." path
 
 let loadgen_cmd =
@@ -1222,32 +1152,11 @@ let loadgen_cmd =
              recorded event and the enabled-vs-disabled delta on a \
              steady-state tiered loop.")
   in
-  let out_arg =
-    Cmdliner.Arg.(
-      value
-      & opt (some string) None
-      & info [ "o"; "out" ] ~docv:"FILE"
-          ~doc:"Write the loadgen document (nullelim-loadgen schema).")
-  in
-  let merge_arg =
-    Cmdliner.Arg.(
-      value
-      & opt (some string) None
-      & info [ "merge" ] ~docv:"FILE"
-          ~doc:
-            "Merge the loadgen document into an existing bench report \
-             (e.g. BENCH_results.json) under the `loadgen' key, \
-             creating the file if absent.")
-  in
-  let baseline_arg =
-    Cmdliner.Arg.(
-      value
-      & opt (some file) None
-      & info [ "baseline" ] ~docv:"FILE"
-          ~doc:
-            "Gate the normalized p99 (lowest-rate p99 / mean compile \
-             time) against a committed baseline (its `loadgen' member \
-             if present); exit 1 above the gate factor.")
+  let report_arg =
+    report_term ~key:"loadgen" ~flags:[ "o"; "out" ]
+      ~gate:
+        "exit 1 when the normalized p99 (lowest-rate p99 / mean compile \
+         time) exceeds the baseline's by more than the gate factor"
   in
   let factor_arg =
     Cmdliner.Arg.(
@@ -1255,13 +1164,6 @@ let loadgen_cmd =
       & opt float 3.0
       & info [ "gate-factor" ] ~docv:"X"
           ~doc:"Allowed normalized-p99 ratio over the baseline.")
-  in
-  let write_baseline_arg =
-    Cmdliner.Arg.(
-      value
-      & opt (some string) None
-      & info [ "write-baseline" ] ~docv:"FILE"
-          ~doc:"Record the fresh loadgen document as the new baseline.")
   in
   let flight_arg =
     Cmdliner.Arg.(
@@ -1312,9 +1214,8 @@ let loadgen_cmd =
              (nullelim-timeline schema), gate their completeness, and \
              write them to $(docv).")
   in
-  let run jobs queue duration seed sweep rate max_requests overhead out merge
-      baseline factor write_baseline flight trace tenants tenant_cap
-      timelines =
+  let run jobs queue duration seed sweep rate max_requests overhead report
+      factor flight trace tenants tenant_cap timelines =
     let multipliers = multipliers_of ~sweep ~rate in
     let t =
       LG.sweep
@@ -1355,40 +1256,12 @@ let loadgen_cmd =
       Fmt.epr "loadgen gate FAILED:@.";
       List.iter (fun e -> Fmt.epr "  %s@." e) errs;
       exit 1);
-    let doc = LG.to_json t in
-    (match LG.validate doc with
-    | Ok () -> ()
-    | Error e ->
-      Fmt.epr "internal error: loadgen document fails its own schema: %s@." e;
-      exit 1);
-    (match out with
-    | Some path ->
-      write_file path (Json.to_string doc ^ "\n");
-      Fmt.pr "loadgen document written to %s@." path
-    | None -> ());
-    (match merge with
-    | Some path ->
-      let report =
-        if Sys.file_exists path then
-          match Json.of_string (read_file path) with
-          | Ok j -> j
-          | Error e ->
-            Fmt.epr "%s: JSON parse error: %s@." path e;
-            exit 1
-        else Json.Obj [ ("schema", Json.Str "nullelim-bench/1") ]
-      in
-      write_file path (Json.to_string (set_member "loadgen" doc report) ^ "\n");
-      Fmt.pr "loadgen section merged into %s@." path
-    | None -> ());
+    publish report (LG.to_json t);
     (match flight with
     | Some path ->
       let fj = Obs.Recorder.to_json Obs.Recorder.global in
-      (match Obs.Recorder.validate fj with
-      | Ok () -> ()
-      | Error e ->
-        Fmt.epr "internal error: flight dump fails its own schema: %s@." e;
-        exit 1);
-      write_file path (Json.to_string fj ^ "\n");
+      check_doc ~what:"flight" fj;
+      write_json path fj;
       Fmt.pr "flight dump written to %s@." path
     | None -> ());
     (match trace with
@@ -1399,36 +1272,13 @@ let loadgen_cmd =
     (match timelines with
     | Some path -> emit_timelines ~out:path Obs.Recorder.global
     | None -> ());
-    (match write_baseline with
-    | Some path ->
-      write_file path (Json.to_string doc ^ "\n");
-      Fmt.pr "baseline written to %s@." path
-    | None -> ());
-    match baseline with
-    | None -> ()
-    | Some path -> (
-      match Json.of_string (read_file path) with
-      | Error e ->
-        Fmt.epr "%s: JSON parse error: %s@." path e;
-        exit 1
-      | Ok b -> (
-        let b = match Json.member "loadgen" b with Some l -> l | None -> b in
-        match LG.check_against_baseline ~factor ~baseline:b t with
-        | Ok [] -> Fmt.pr "@.baseline check: OK@."
-        | Ok drift ->
-          Fmt.pr "@.baseline check: OK, with drift:@.";
-          List.iter (fun d -> Fmt.pr "  %s@." d) drift
-        | Error regs ->
-          Fmt.epr "@.baseline check FAILED:@.";
-          List.iter (fun r -> Fmt.epr "  %s@." r) regs;
-          exit 1))
+    gate report (fun baseline -> LG.check_against_baseline ~factor ~baseline t)
   in
   Cmdliner.Cmd.v (Cmdliner.Cmd.info "loadgen" ~doc)
     Cmdliner.Term.(
       const run $ jobs_arg $ queue_arg $ duration_arg $ seed_arg $ sweep_arg
-      $ rate_arg $ max_requests_arg $ overhead_arg $ out_arg $ merge_arg
-      $ baseline_arg $ factor_arg $ write_baseline_arg $ flight_arg
-      $ trace_arg $ tenants_arg $ tenant_cap_arg $ timelines_arg)
+      $ rate_arg $ max_requests_arg $ overhead_arg $ report_arg $ factor_arg
+      $ flight_arg $ trace_arg $ tenants_arg $ tenant_cap_arg $ timelines_arg)
 
 (* --- serve --------------------------------------------------------- *)
 
@@ -1641,7 +1491,12 @@ let serve_cmd =
       Fmt.epr "/healthz probe failed: %s@." e;
       exit 1);
     (match Status.get address "/tenants" with
-    | Ok (200, _) -> Fmt.pr "self-probe /tenants : 200@."
+    | Ok (200, body) -> (
+      match Result.bind (Json.of_string body) Status.validate_tenants with
+      | Ok () -> Fmt.pr "self-probe /tenants : 200@."
+      | Error e ->
+        Fmt.epr "/tenants document invalid: %s@." e;
+        exit 1)
     | Ok (s, _) ->
       Fmt.epr "/tenants returned %d@." s;
       exit 1
@@ -1700,107 +1555,55 @@ let timelines_cmd =
              events).")
   in
   let run path out check =
-    match Json.of_string (read_file path) with
-    | Error e ->
-      Fmt.epr "%s: JSON parse error: %s@." path e;
-      exit 1
-    | Ok j ->
-      let j = match Json.member "flight" j with Some f -> f | None -> j in
-      (match Obs.Recorder.validate j with
-      | Ok () -> ()
+    let j = read_json path in
+    let j = Option.value ~default:j (Json.member "flight" j) in
+    let dropped, events =
+      match Obs.Recorder.of_json j with
+      | Ok de -> de
       | Error e ->
         Fmt.epr "%s: not a flight document: %s@." path e;
-        exit 1);
-      let geti e name =
-        match Json.member name e with
-        | Some (Json.Int i) -> Some i
-        | Some (Json.Float f) -> Some (int_of_float f)
-        | _ -> None
-      in
-      let getf e name =
-        match Json.member name e with
-        | Some (Json.Float f) -> Some f
-        | Some (Json.Int i) -> Some (float_of_int i)
-        | _ -> None
-      in
-      let dropped = Option.value ~default:0 (geti j "dropped") in
-      let events =
-        match Json.member "events" j with
-        | Some (Json.List evs) ->
-          List.filter_map
-            (fun e ->
-              match (getf e "ts", geti e "domain", Json.member "kind" e) with
-              | Some ts, Some domain, Some (Json.Str k) -> (
-                match Obs.Recorder.kind_of_name k with
-                | None -> None
-                | Some kind ->
-                  let d ?(default = -1) name =
-                    Option.value ~default (geti e name)
-                  in
-                  Some
-                    {
-                      Obs.Recorder.ev_ts = ts;
-                      ev_domain = domain;
-                      ev_kind = kind;
-                      ev_a = d ~default:0 "a";
-                      ev_b = d ~default:0 "b";
-                      ev_ctx =
-                        {
-                          Obs.Ctx.cx_tenant = d "tenant";
-                          cx_request = d "request";
-                          cx_span = d "span";
-                          cx_parent = d "parent";
-                        };
-                    })
-              | _ -> None)
-            evs
-        | _ -> []
-      in
-      let tls = Obs.Timeline.of_events events in
-      let count p =
-        List.length (List.filter (fun tl -> Obs.Timeline.phase tl = p) tls)
-      in
-      Fmt.pr
-        "%d events -> %d requests: %d completed, %d shed, %d in flight \
-         (%d events dropped)@."
-        (List.length events) (List.length tls)
-        (count Obs.Timeline.Completed)
-        (count Obs.Timeline.Shed)
-        (count Obs.Timeline.Inflight)
-        dropped;
-      Fmt.pr "@.%8s %7s %10s %10s %10s %10s@." "request" "tenant" "phase"
-        "wait_ms" "svc_ms" "total_ms";
-      List.iter
-        (fun (tl : Obs.Timeline.t) ->
-          let ms = function
-            | Some s -> Printf.sprintf "%.2f" (1000. *. s)
-            | None -> "-"
-          in
-          Fmt.pr "%8d %7d %10s %10s %10s %10s@." tl.Obs.Timeline.tl_request
-            tl.Obs.Timeline.tl_tenant
-            (Obs.Timeline.phase_name (Obs.Timeline.phase tl))
-            (ms (Obs.Timeline.queue_wait tl))
-            (ms (Obs.Timeline.service_time tl))
-            (ms (Obs.Timeline.total_latency tl)))
-        tls;
-      (if check then
-         match Obs.Timeline.check_complete ~dropped tls with
-         | Ok () -> Fmt.pr "@.causal completeness: OK@."
-         | Error e ->
-           Fmt.epr "@.causal completeness FAILED: %s@." e;
-           exit 1);
-      match out with
-      | None -> ()
-      | Some path ->
-        let doc = Obs.Timeline.to_json ~dropped tls in
-        (match Obs.Timeline.validate doc with
-        | Ok () -> ()
-        | Error e ->
-          Fmt.epr
-            "internal error: timeline document fails its own schema: %s@." e;
-          exit 1);
-        write_file path (Json.to_string doc ^ "\n");
-        Fmt.pr "timeline document written to %s@." path
+        exit 1
+    in
+    let tls = Obs.Timeline.of_events events in
+    let count p =
+      List.length (List.filter (fun tl -> Obs.Timeline.phase tl = p) tls)
+    in
+    Fmt.pr
+      "%d events -> %d requests: %d completed, %d shed, %d in flight \
+       (%d events dropped)@."
+      (List.length events) (List.length tls)
+      (count Obs.Timeline.Completed)
+      (count Obs.Timeline.Shed)
+      (count Obs.Timeline.Inflight)
+      dropped;
+    Fmt.pr "@.%8s %7s %10s %10s %10s %10s@." "request" "tenant" "phase"
+      "wait_ms" "svc_ms" "total_ms";
+    List.iter
+      (fun (tl : Obs.Timeline.t) ->
+        let ms = function
+          | Some s -> Printf.sprintf "%.2f" (1000. *. s)
+          | None -> "-"
+        in
+        Fmt.pr "%8d %7d %10s %10s %10s %10s@." tl.Obs.Timeline.tl_request
+          tl.Obs.Timeline.tl_tenant
+          (Obs.Timeline.phase_name (Obs.Timeline.phase tl))
+          (ms (Obs.Timeline.queue_wait tl))
+          (ms (Obs.Timeline.service_time tl))
+          (ms (Obs.Timeline.total_latency tl)))
+      tls;
+    (if check then
+       match Obs.Timeline.check_complete ~dropped tls with
+       | Ok () -> Fmt.pr "@.causal completeness: OK@."
+       | Error e ->
+         Fmt.epr "@.causal completeness FAILED: %s@." e;
+         exit 1);
+    match out with
+    | None -> ()
+    | Some path ->
+      let doc = Obs.Timeline.to_json ~dropped tls in
+      check_doc ~what:"timeline" doc;
+      write_json path doc;
+      Fmt.pr "timeline document written to %s@." path
   in
   Cmdliner.Cmd.v (Cmdliner.Cmd.info "timelines" ~doc)
     Cmdliner.Term.(const run $ file_arg $ out_arg $ check_arg)
@@ -1834,10 +1637,10 @@ let lint_exposition_cmd =
 
 let validate_json_cmd =
   let doc =
-    "Validate a telemetry JSON file: a metrics snapshot (or a report \
-     embedding one under a `metrics' key), a per-site profile snapshot \
-     (or `profile' member), a dynamic-elimination document (or `dynamic' \
-     member), or a Chrome trace-event file."
+    "Validate a JSON document against the registry entry its `schema' \
+     field names.  In a bench report (nullelim-bench/1) every member \
+     carrying a `schema' is validated the same way; a file with a \
+     `traceEvents' list is checked as a Chrome trace."
   in
   let file_arg =
     Cmdliner.Arg.(
@@ -1845,85 +1648,12 @@ let validate_json_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"FILE" ~doc:"JSON file to validate.")
   in
-  let validate_trace j =
-    match Json.member "traceEvents" j with
-    | Some (Json.List evs) ->
-      let bad =
-        List.exists
-          (fun e ->
-            match
-              (Json.member "name" e, Json.member "ph" e, Json.member "ts" e)
-            with
-            | Some (Json.Str _), Some (Json.Str _),
-              Some (Json.Float _ | Json.Int _) ->
-              false
-            | _ -> true)
-          evs
-      in
-      if bad then Error "trace event missing name/ph/ts"
-      else Ok (Printf.sprintf "trace: %d events" (List.length evs))
-    | Some _ -> Error "traceEvents must be a list"
-    | None -> Error "not a trace file"
-  in
   let run path =
-    match Json.of_string (read_file path) with
+    match Schemas.validate (read_json path) with
+    | Ok what -> Fmt.pr "%s: OK (%s)@." path what
     | Error e ->
-      Fmt.epr "%s: JSON parse error: %s@." path e;
+      Fmt.epr "%s: invalid: %s@." path e;
       exit 1
-    | Ok j -> (
-      (* bench reports embed the schemas under these keys *)
-      let sub name = match Json.member name j with Some m -> m | None -> j in
-      match Obs.Metrics.validate (sub "metrics") with
-      | Ok () ->
-        Fmt.pr "%s: OK (metrics schema v%d)@." path Obs.Metrics.schema_version
-      | Error metrics_err -> (
-        match Obs.Profile.validate (sub "profile") with
-        | Ok () ->
-          Fmt.pr "%s: OK (profile schema v%d)@." path
-            Obs.Profile.schema_version
-        | Error _ -> (
-          match PR.validate_dynamic (sub "dynamic") with
-          | Ok () ->
-            Fmt.pr "%s: OK (dynamic schema v%d)@." path
-              PR.dynamic_schema_version
-          | Error _ -> (
-            match SS.validate_tiered (sub "tiered") with
-            | Ok () ->
-              Fmt.pr "%s: OK (tiered schema v%d)@." path
-                SS.tiered_schema_version
-            | Error _ -> (
-              match Fuzz_report.validate (sub "fuzz") with
-              | Ok () ->
-                Fmt.pr "%s: OK (fuzz schema v%d)@." path
-                  Fuzz_report.schema_version
-              | Error _ -> (
-                match Obs.Recorder.validate (sub "flight") with
-                | Ok () -> Fmt.pr "%s: OK (flight schema v1)@." path
-                | Error _ -> (
-                  match LG.validate (sub "loadgen") with
-                  | Ok () ->
-                    Fmt.pr "%s: OK (loadgen schema v%d)@." path
-                      LG.schema_version
-                  | Error _ -> (
-                    match Obs.Slo.validate (sub "slo") with
-                    | Ok () -> Fmt.pr "%s: OK (slo schema v1)@." path
-                    | Error _ -> (
-                      (* a timeline document itself has a `timelines'
-                         list member, so try the document before the
-                         embedded-member convention *)
-                      match
-                        (match Obs.Timeline.validate j with
-                        | Ok () -> Ok ()
-                        | Error _ -> Obs.Timeline.validate (sub "timelines"))
-                      with
-                      | Ok () ->
-                        Fmt.pr "%s: OK (timeline schema v1)@." path
-                      | Error _ -> (
-                        match validate_trace j with
-                        | Ok msg -> Fmt.pr "%s: OK (%s)@." path msg
-                        | Error _ ->
-                          Fmt.epr "%s: invalid: %s@." path metrics_err;
-                          exit 1))))))))))
   in
   Cmdliner.Cmd.v (Cmdliner.Cmd.info "validate-json" ~doc)
     Cmdliner.Term.(const run $ file_arg)

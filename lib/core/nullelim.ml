@@ -116,9 +116,8 @@ module Fuzz_report = Nullelim_gen.Report
 (** {1 Telemetry}
 
     Trace spans ([Obs.span], Chrome trace-event output via
-    [NULLELIM_TRACE=path]), leveled logging ([NULLELIM_LOG=debug]),
-    a typed metrics registry with a versioned JSON snapshot, and the
-    per-check optimization decision log. *)
+    [NULLELIM_TRACE=path]), a typed metrics registry with a versioned
+    JSON snapshot, and the per-check optimization decision log. *)
 
 module Obs = Nullelim_obs.Obs
 module Json = Nullelim_obs.Obs_json

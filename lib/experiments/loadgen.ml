@@ -442,88 +442,41 @@ let num = function
   | _ -> None
 
 let validate (j : Json.t) : (unit, string) result =
-  let ( let* ) = Result.bind in
-  let* () =
-    match Json.member "schema" j with
-    | Some (Json.Str s) when s = schema -> Ok ()
-    | Some (Json.Str s) -> Error (Printf.sprintf "unknown schema %S" s)
-    | _ -> Error "missing field \"schema\""
+  let open Json in
+  (* "tenants" is additive (absent in pre-tenancy documents); when
+     present, each entry must close its accounting *)
+  let tenant tn =
+    let* t = int "tenant" tn in
+    let* o = int "offered" tn in
+    let* c = int "completed" tn in
+    let* s = int "shed" tn in
+    expect (c + s = o)
+      (Printf.sprintf "tenant %d: %d completed + %d shed <> %d offered" t c s
+         o)
   in
-  let* () =
-    match Json.member "schema_version" j with
-    | Some (Json.Int v) when v = schema_version -> Ok ()
-    | Some (Json.Int v) ->
-      Error (Printf.sprintf "unsupported schema_version %d" v)
-    | _ -> Error "missing field \"schema_version\""
+  let row r =
+    let* () =
+      fields num
+        [
+          "rate_multiplier"; "offered_rate_per_sec"; "offered"; "completed";
+          "shed"; "throughput_per_sec"; "p50_ms"; "p99_ms"; "p999_ms";
+        ]
+        r
+    in
+    match member "tenants" r with
+    | None -> Ok ()
+    | Some _ -> each "tenants" tenant r
   in
+  let* () = header ~version:schema_version schema j in
+  let* cal = obj "calibration" j in
+  let* m = num "mean_compile_seconds" cal in
   let* () =
-    match Json.member "calibration" j with
-    | Some cal -> (
-      match Option.bind (Json.member "mean_compile_seconds" cal) num with
-      | Some m when m > 0. -> Ok ()
-      | Some _ -> Error "calibration: mean_compile_seconds must be positive"
-      | None -> Error "calibration: missing mean_compile_seconds")
-    | None -> Error "missing field \"calibration\""
+    expect (m > 0.) "calibration: mean_compile_seconds must be positive"
   in
-  let* () =
-    match Json.member "rows" j with
-    | Some (Json.List (_ :: _ as rows)) ->
-      List.fold_left
-        (fun acc row ->
-          let* () = acc in
-          let* () =
-            List.fold_left
-              (fun acc name ->
-                let* () = acc in
-                match Option.bind (Json.member name row) num with
-                | Some _ -> Ok ()
-                | None ->
-                  Error (Printf.sprintf "row: missing numeric field %S" name))
-              (Ok ())
-              [
-                "rate_multiplier"; "offered_rate_per_sec"; "offered";
-                "completed"; "shed"; "throughput_per_sec"; "p50_ms";
-                "p99_ms"; "p999_ms";
-              ]
-          in
-          (* "tenants" is additive (absent in pre-tenancy documents);
-             when present, each entry must close its accounting *)
-          match Json.member "tenants" row with
-          | None -> Ok ()
-          | Some (Json.List tns) ->
-            List.fold_left
-              (fun acc tn ->
-                let* () = acc in
-                match
-                  ( Json.member "tenant" tn,
-                    Json.member "offered" tn,
-                    Json.member "completed" tn,
-                    Json.member "shed" tn )
-                with
-                | Some (Json.Int t), Some (Json.Int o), Some (Json.Int c),
-                  Some (Json.Int s) ->
-                  if c + s <> o then
-                    Error
-                      (Printf.sprintf
-                         "tenant %d: %d completed + %d shed <> %d offered"
-                         t c s o)
-                  else Ok ()
-                | _ ->
-                  Error "tenant row: missing tenant/offered/completed/shed")
-              (Ok ()) tns
-          | Some _ -> Error "row: tenants must be a list")
-        (Ok ()) rows
-    | Some (Json.List []) -> Error "rows must be non-empty"
-    | _ -> Error "missing field \"rows\""
-  in
-  let* () =
-    match Option.bind (Json.member "saturation_throughput_per_sec" j) num with
-    | Some _ -> Ok ()
-    | None -> Error "missing field \"saturation_throughput_per_sec\""
-  in
-  match Option.bind (Json.member "normalized_p99" j) num with
-  | Some _ -> Ok ()
-  | None -> Error "missing field \"normalized_p99\""
+  let* rs = list "rows" j in
+  let* () = expect (rs <> []) "rows must be non-empty" in
+  let* () = each "rows" row j in
+  fields num [ "saturation_throughput_per_sec"; "normalized_p99" ] j
 
 (* ------------------------------------------------------------------ *)
 (* Baseline gate                                                       *)

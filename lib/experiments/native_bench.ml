@@ -211,6 +211,27 @@ let unavailable_json reason : Json.t =
       ("reason", Json.Str reason);
     ]
 
+let validate (j : Json.t) : (unit, string) Stdlib.result =
+  let open Json in
+  let* () = header schema j in
+  let* available = bool "available" j in
+  if not available then fields str [ "reason" ] j
+  else
+    let* () = fields str [ "arch" ] j in
+    let* checks = int "checks" j in
+    let* traps = int "traps" j in
+    let* () =
+      expect (checks > 0 && traps > 0) "checks and traps must be positive"
+    in
+    let* () = fields int [ "implicit_check_instrs" ] j in
+    fields num
+      [
+        "explicit_kernel_ns"; "implicit_kernel_ns"; "baseline_kernel_ns";
+        "explicit_check_ns"; "implicit_check_ns"; "trap_recovery_ns";
+        "model_explicit_check_ns";
+      ]
+      j
+
 let pp ppf (r : result) =
   Fmt.pf ppf
     "@[<v>native trap costs (%s, %d checks, %d traps)@,\

@@ -58,4 +58,8 @@ val unavailable_json : string -> Json.t
     [{"available": false, "reason": ...}] — CI's cc-masked leg asserts
     this shape. *)
 
+val validate : Json.t -> (unit, string) Stdlib.result
+(** Either shape of the document: the measured costs, or
+    [{"available": false, "reason": ...}]. *)
+
 val pp : result Fmt.t

@@ -478,50 +478,14 @@ let dynamic_json ~scale (all : run list list) : Json.t =
     ]
 
 let validate_dynamic (j : Json.t) : (unit, string) result =
-  let ( let* ) = Result.bind in
-  let* () =
-    match Json.member "schema" j with
-    | Some (Json.Str s) when s = dynamic_schema -> Ok ()
-    | Some (Json.Str s) -> Error (Printf.sprintf "unknown schema %S" s)
-    | _ -> Error "missing field \"schema\""
+  let open Json in
+  let row r =
+    let* () = fields str [ "workload"; "config" ] r in
+    fields int [ "explicit"; "implicit"; "bound"; "baseline" ] r
   in
-  let* () =
-    match Json.member "schema_version" j with
-    | Some (Json.Int v) when v = dynamic_schema_version -> Ok ()
-    | Some (Json.Int v) -> Error (Printf.sprintf "unsupported schema_version %d" v)
-    | _ -> Error "missing field \"schema_version\""
-  in
-  let* () =
-    match Json.member "baseline_config" j with
-    | Some (Json.Str _) -> Ok ()
-    | _ -> Error "missing field \"baseline_config\""
-  in
-  match Json.member "rows" j with
-  | Some (Json.List rows) ->
-    List.fold_left
-      (fun acc row ->
-        let* () = acc in
-        let int_f n =
-          match Json.member n row with
-          | Some (Json.Int _) -> Ok ()
-          | _ -> Error (Printf.sprintf "row: missing integer field %S" n)
-        in
-        let* () =
-          match Json.member "workload" row with
-          | Some (Json.Str _) -> Ok ()
-          | _ -> Error "row: missing field \"workload\""
-        in
-        let* () =
-          match Json.member "config" row with
-          | Some (Json.Str _) -> Ok ()
-          | _ -> Error "row: missing field \"config\""
-        in
-        let* () = int_f "explicit" in
-        let* () = int_f "implicit" in
-        let* () = int_f "bound" in
-        int_f "baseline")
-      (Ok ()) rows
-  | _ -> Error "missing field \"rows\""
+  let* () = header ~version:dynamic_schema_version dynamic_schema j in
+  let* () = fields str [ "baseline_config" ] j in
+  each "rows" row j
 
 (* ------------------------------------------------------------------ *)
 (* Regression gate (BENCH_baseline.json)                               *)

@@ -420,61 +420,29 @@ let tiered_json ~mode (rows : row list) (fd : forced_deopt) : Json.t =
     ]
 
 let validate_tiered (j : Json.t) : (unit, string) result =
-  let ( let* ) = Result.bind in
-  let* () =
-    match Json.member "schema" j with
-    | Some (Json.Str s) when s = tiered_schema -> Ok ()
-    | Some (Json.Str s) -> Error (Printf.sprintf "unknown schema %S" s)
-    | _ -> Error "missing field \"schema\""
+  let open Json in
+  let row r =
+    let* () = fields str [ "workload" ] r in
+    fields int
+      [
+        "time_to_peak"; "tier0_checks"; "steady_checks"; "full_checks";
+        "promotions"; "deopts"; "demotions"; "awaits";
+      ]
+      r
   in
+  let* () = header ~version:tiered_schema_version tiered_schema j in
+  let* mode = str "mode" j in
   let* () =
-    match Json.member "schema_version" j with
-    | Some (Json.Int v) when v = tiered_schema_version -> Ok ()
-    | Some (Json.Int v) ->
-      Error (Printf.sprintf "unsupported schema_version %d" v)
-    | _ -> Error "missing field \"schema_version\""
+    expect (mode = "sync" || mode = "async")
+      (Printf.sprintf "unknown mode %S" mode)
   in
-  let* () =
-    match Json.member "mode" j with
-    | Some (Json.Str ("sync" | "async")) -> Ok ()
-    | Some (Json.Str s) -> Error (Printf.sprintf "unknown mode %S" s)
-    | _ -> Error "missing field \"mode\""
-  in
-  let* () =
-    match Json.member "rows" j with
-    | Some (Json.List rows) ->
-      List.fold_left
-        (fun acc row ->
-          let* () = acc in
-          let int_f n =
-            match Json.member n row with
-            | Some (Json.Int _) -> Ok ()
-            | _ -> Error (Printf.sprintf "row: missing integer field %S" n)
-          in
-          let* () =
-            match Json.member "workload" row with
-            | Some (Json.Str _) -> Ok ()
-            | _ -> Error "row: missing field \"workload\""
-          in
-          let* () = int_f "time_to_peak" in
-          let* () = int_f "tier0_checks" in
-          let* () = int_f "steady_checks" in
-          let* () = int_f "full_checks" in
-          let* () = int_f "promotions" in
-          let* () = int_f "deopts" in
-          let* () = int_f "demotions" in
-          int_f "awaits")
-        (Ok ()) rows
-    | _ -> Error "missing field \"rows\""
-  in
-  match Json.member "forced_deopt" j with
-  | Some fd -> (
-    match (Json.member "only_offending" fd, Json.member "reconciled" fd) with
-    | Some (Json.Bool true), Some (Json.Bool true) -> Ok ()
-    | Some (Json.Bool _), Some (Json.Bool _) ->
-      Error "forced_deopt: deoptimization was not exact or did not reconcile"
-    | _ -> Error "forced_deopt: missing boolean evidence fields")
-  | None -> Error "missing field \"forced_deopt\""
+  let* () = each "rows" row j in
+  let* fd = obj "forced_deopt" j in
+  Result.map_error (( ^ ) "forced_deopt: ")
+    (let* exact = bool "only_offending" fd in
+     let* reconciled = bool "reconciled" fd in
+     expect (exact && reconciled)
+       "deoptimization was not exact or did not reconcile")
 
 (* ------------------------------------------------------------------ *)
 (* Regression gate (BENCH_baseline.json)                               *)

@@ -141,77 +141,34 @@ let to_json (t : t) : Json.t =
     ]
 
 let validate (j : Json.t) : (unit, string) result =
-  let ( let* ) = Result.bind in
-  let str_f ctx n o =
-    match Json.member n o with
-    | Some (Json.Str _) -> Ok ()
-    | _ -> Error (Printf.sprintf "%s: missing string field %S" ctx n)
+  let open Json in
+  let failure row =
+    let* () = fields int [ "seed" ] row in
+    fields str [ "oracle"; "config"; "detail" ] row
   in
-  let int_f ctx n o =
-    match Json.member n o with
-    | Some (Json.Int _) -> Ok ()
-    | _ -> Error (Printf.sprintf "%s: missing integer field %S" ctx n)
-  in
+  let* () = header ~version:schema_version schema j in
   let* () =
-    match Json.member "schema" j with
-    | Some (Json.Str s) when s = schema -> Ok ()
-    | Some (Json.Str s) -> Error (Printf.sprintf "unknown schema %S" s)
-    | _ -> Error "missing field \"schema\""
-  in
-  let* () =
-    match Json.member "schema_version" j with
-    | Some (Json.Int v) when v = schema_version -> Ok ()
-    | Some (Json.Int v) ->
-      Error (Printf.sprintf "unsupported schema_version %d" v)
-    | _ -> Error "missing field \"schema_version\""
-  in
-  let* () =
-    List.fold_left
-      (fun acc n ->
-        let* () = acc in
-        int_f "fuzz" n j)
-      (Ok ())
+    fields int
       [
         "seed"; "count"; "gen_version"; "size"; "jobs"; "passed"; "skipped";
         "failed"; "pool_compiles"; "cache_hits";
       ]
+      j
   in
-  let* () = str_f "fuzz" "arch" j in
+  let* () = fields str [ "arch" ] j in
+  let* () = fields bool [ "mutate" ] j in
+  let* () = fields num [ "seconds" ] j in
+  let* d = obj "distribution" j in
   let* () =
-    match Json.member "mutate" j with
-    | Some (Json.Bool _) -> Ok ()
-    | _ -> Error "missing boolean field \"mutate\""
+    Result.map_error (( ^ ) "distribution: ")
+      (fields int
+         [
+           "programs"; "with_try"; "with_alias"; "with_null"; "with_loop";
+           "recursive"; "instrs_total";
+         ]
+         d)
   in
-  let* () =
-    match Json.member "seconds" j with
-    | Some (Json.Float _ | Json.Int _) -> Ok ()
-    | _ -> Error "missing number field \"seconds\""
-  in
-  let* () =
-    match Json.member "distribution" j with
-    | Some (Json.Obj _ as d) ->
-      List.fold_left
-        (fun acc n ->
-          let* () = acc in
-          int_f "distribution" n d)
-        (Ok ())
-        [
-          "programs"; "with_try"; "with_alias"; "with_null"; "with_loop";
-          "recursive"; "instrs_total";
-        ]
-    | _ -> Error "missing object field \"distribution\""
-  in
-  match Json.member "failures" j with
-  | Some (Json.List rows) ->
-    List.fold_left
-      (fun acc row ->
-        let* () = acc in
-        let* () = int_f "failure" "seed" row in
-        let* () = str_f "failure" "oracle" row in
-        let* () = str_f "failure" "config" row in
-        str_f "failure" "detail" row)
-      (Ok ()) rows
-  | _ -> Error "missing list field \"failures\""
+  each "failures" failure j
 
 (* ------------------------------------------------------------------ *)
 (* Corpus entries                                                      *)

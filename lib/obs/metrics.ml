@@ -71,6 +71,7 @@ type counter = int ref          (* the calling domain's cell *)
 type gauge = float Atomic.t     (* shared across domains *)
 type histogram = hcells         (* the calling domain's cells *)
 
+let schema = "nullelim-metrics/1"
 let schema_version = 1
 
 let create () : t =
@@ -379,6 +380,7 @@ let snapshot (r : t) : Obs_json.t =
     keys;
   Obs_json.Obj
     [
+      ("schema", Obs_json.Str schema);
       ("schema_version", Obs_json.Int schema_version);
       ("counters", Obs_json.List (List.rev !counters));
       ("gauges", Obs_json.List (List.rev !gauges));
@@ -390,80 +392,28 @@ let snapshot (r : t) : Obs_json.t =
 (* ------------------------------------------------------------------ *)
 
 let validate (j : Obs_json.t) : (unit, string) result =
-  let ( let* ) r f = Result.bind r f in
-  let str_labels = function
-    | Obs_json.Obj kvs ->
-      if List.for_all (function _, Obs_json.Str _ -> true | _ -> false) kvs
-      then Ok ()
-      else Error "labels values must be strings"
-    | _ -> Error "labels must be an object"
+  let open Obs_json in
+  let series value o =
+    let* _ = str "name" o in
+    let* labels = obj "labels" o in
+    let keys = match labels with Obj kvs -> List.map fst kvs | _ -> [] in
+    let* () = fields str keys labels in
+    value o
   in
-  let check_series kind check_extra = function
-    | Obs_json.Obj _ as o -> (
-      match (Obs_json.member "name" o, Obs_json.member "labels" o) with
-      | Some (Obs_json.Str _), Some labels ->
-        let* () = str_labels labels in
-        check_extra o
-      | _ -> Error (kind ^ " entry missing name/labels"))
-    | _ -> Error (kind ^ " entry must be an object")
+  let bucket b =
+    let* () =
+      match member "le" b with
+      | Some (Str "+Inf") -> Ok ()
+      | _ -> fields num [ "le" ] b
+    in
+    fields int [ "count" ] b
   in
-  let all kind check_extra xs =
-    List.fold_left
-      (fun acc x -> let* () = acc in check_series kind check_extra x)
-      (Ok ()) xs
-  in
-  let list_member name o =
-    match Obs_json.member name o with
-    | Some (Obs_json.List xs) -> Ok xs
-    | Some _ -> Error (name ^ " must be a list")
-    | None -> Error ("missing " ^ name)
-  in
-  match j with
-  | Obs_json.Obj _ -> (
-    match Obs_json.member "schema_version" j with
-    | Some (Obs_json.Int v) when v = schema_version ->
-      let* cs = list_member "counters" j in
-      let* gs = list_member "gauges" j in
-      let* hs = list_member "histograms" j in
-      let* () =
-        all "counter"
-          (fun o ->
-            match Obs_json.member "value" o with
-            | Some (Obs_json.Int _) -> Ok ()
-            | _ -> Error "counter value must be an integer")
-          cs
-      in
-      let* () =
-        all "gauge"
-          (fun o ->
-            match Obs_json.member "value" o with
-            | Some (Obs_json.Float _ | Obs_json.Int _ | Obs_json.Null) -> Ok ()
-            | _ -> Error "gauge value must be a number")
-          gs
-      in
-      all "histogram"
-        (fun o ->
-          match
-            (Obs_json.member "count" o, Obs_json.member "sum" o,
-             Obs_json.member "buckets" o)
-          with
-          | Some (Obs_json.Int _),
-            Some (Obs_json.Float _ | Obs_json.Int _ | Obs_json.Null),
-            Some (Obs_json.List bs) ->
-            if
-              List.for_all
-                (fun b ->
-                  match (Obs_json.member "le" b, Obs_json.member "count" b) with
-                  | Some (Obs_json.Float _ | Obs_json.Int _ | Obs_json.Str "+Inf"),
-                    Some (Obs_json.Int _) ->
-                    true
-                  | _ -> false)
-                bs
-            then Ok ()
-            else Error "histogram bucket must have le + integer count"
-          | _ -> Error "histogram entry missing count/sum/buckets")
-        hs
-    | Some (Obs_json.Int v) ->
-      Error (Printf.sprintf "unsupported schema_version %d (want %d)" v schema_version)
-    | _ -> Error "missing schema_version")
-  | _ -> Error "metrics snapshot must be an object"
+  let* () = header ~version:schema_version schema j in
+  let* () = each "counters" (series (fields int [ "value" ])) j in
+  let* () = each "gauges" (series (fields (nullable num) [ "value" ])) j in
+  each "histograms"
+    (series (fun o ->
+         let* () = fields int [ "count" ] o in
+         let* () = fields (nullable num) [ "sum" ] o in
+         each "buckets" bucket o))
+    j

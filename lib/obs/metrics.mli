@@ -29,6 +29,9 @@ type counter
 type gauge
 type histogram
 
+val schema : string
+(** ["nullelim-metrics/1"]. *)
+
 val schema_version : int
 (** Version stamped into (and required of) every snapshot. *)
 
@@ -133,7 +136,8 @@ val percentile_of :
 
 val snapshot : t -> Obs_json.t
 (** Deterministic merged snapshot (all domains' shards summed):
-    [{"schema_version":N,"counters":[{"name","labels","value"}...],
+    [{"schema":"nullelim-metrics/1","schema_version":N,
+      "counters":[{"name","labels","value"}...],
       "gauges":[...],"histograms":[{"name","labels","count","sum",
       "buckets":[{"le","count"}...]}...]}]. *)
 

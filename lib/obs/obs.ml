@@ -1,13 +1,11 @@
-(** Umbrella module for the telemetry layer: trace spans, leveled
-    logging, the metrics registry, causal request contexts, the flight
-    recorder and its per-request timelines, Prometheus exposition, SLO
-    burn rates and the per-check decision log.  Client code says
-    [Obs.span "phase1" f], [Obs.Log.debug ...],
+(** Umbrella module for the telemetry layer: trace spans, the metrics
+    registry, causal request contexts, the flight recorder and its
+    per-request timelines, Prometheus exposition, SLO burn rates and the
+    per-check decision log.  Client code says [Obs.span "phase1" f],
     [Obs.Metrics.counter ...], [Obs.Ctx.mint ...],
     [Obs.Recorder.record ...], [Obs.Decision.record ...]. *)
 
 module Json = Obs_json
-module Log = Log
 module Trace = Trace
 module Metrics = Metrics
 module Ctx = Ctx

@@ -268,3 +268,111 @@ let rec equal (a : t) (b : t) =
          (fun (k, v) (k', v') -> String.equal k k' && equal v v')
          xs ys
   | _ -> a = b
+
+(* ------------------------------------------------------------------ *)
+(* Validation kit                                                      *)
+(* ------------------------------------------------------------------ *)
+
+type 'a check = t -> ('a, string) result
+
+let ( let* ) = Result.bind
+let expect cond msg = if cond then Ok () else Error msg
+
+let field kind get name j =
+  match member name j with
+  | None -> Error (Printf.sprintf "missing field %S" name)
+  | Some v -> (
+    match get v with
+    | Some x -> Ok x
+    | None -> Error (Printf.sprintf "field %S must be %s" name kind))
+
+let int = field "an integer" (function Int i -> Some i | _ -> None)
+
+let num =
+  field "a number" (function
+    | Int i -> Some (float_of_int i)
+    | Float f -> Some f
+    | _ -> None)
+
+let str = field "a string" (function Str s -> Some s | _ -> None)
+let bool = field "a boolean" (function Bool b -> Some b | _ -> None)
+let list = field "a list" to_list
+let obj = field "an object" (function Obj _ as o -> Some o | _ -> None)
+
+let opt f name j =
+  match member name j with
+  | None -> Ok None
+  | Some _ -> Result.map Option.some (f name j)
+
+let nullable f name j =
+  match member name j with
+  | Some Null -> Ok None
+  | _ -> Result.map Option.some (f name j)
+
+let fields f names j =
+  List.fold_left
+    (fun acc name ->
+      let* () = acc in
+      Result.map ignore (f name j))
+    (Ok ()) names
+
+let rows name row j =
+  let* xs = list name j in
+  let rec go i acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest -> (
+      match row x with
+      | Ok v -> go (i + 1) (v :: acc) rest
+      | Error e -> Error (Printf.sprintf "%s[%d]: %s" name i e))
+  in
+  go 0 [] xs
+
+let each name row j = Result.map ignore (rows name row j)
+
+let header ?version schema j =
+  let* s = str "schema" j in
+  let* () =
+    expect (s = schema) (Printf.sprintf "unknown schema %S (want %S)" s schema)
+  in
+  match version with
+  | None -> Ok ()
+  | Some v ->
+    let* n = int "schema_version" j in
+    expect (n = v)
+      (Printf.sprintf "unsupported schema_version %d (want %d)" n v)
+
+(* ------------------------------------------------------------------ *)
+(* Document dispatch                                                   *)
+(* ------------------------------------------------------------------ *)
+
+type doc = { schema : string; validate : unit check }
+
+let trace_event e =
+  let* () = fields str [ "name"; "ph" ] e in
+  fields num [ "ts" ] e
+
+let rec validate_doc ~report docs j =
+  match (member "schema" j, member "traceEvents" j) with
+  | None, Some _ ->
+    let* evs = rows "traceEvents" trace_event j in
+    Ok (Printf.sprintf "trace: %d events" (List.length evs))
+  | _ ->
+    let* s = str "schema" j in
+    if s = report then
+      let kvs = match j with Obj kvs -> kvs | _ -> [] in
+      let* keys =
+        List.fold_left
+          (fun acc (k, v) ->
+            let* keys = acc in
+            if member "schema" v = None then Ok keys
+            else
+              match validate_doc ~report docs v with
+              | Ok _ -> Ok (k :: keys)
+              | Error e -> Error (Printf.sprintf "member %S: %s" k e))
+          (Ok []) kvs
+      in
+      Ok (Printf.sprintf "%s: %s" s (String.concat ", " (List.rev keys)))
+    else
+      match List.find_opt (fun d -> d.schema = s) docs with
+      | None -> Error (Printf.sprintf "unknown schema %S" s)
+      | Some d -> Result.map (fun () -> s) (d.validate j)

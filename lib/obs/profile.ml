@@ -189,71 +189,21 @@ let to_json t : Obs_json.t =
 (* ------------------------------------------------------------------ *)
 
 let validate (j : Obs_json.t) : (unit, string) result =
-  let ( let* ) = Result.bind in
-  let int_field obj name =
-    match Obs_json.member name obj with
-    | Some (Obs_json.Int _) -> Ok ()
-    | Some _ -> Error (Printf.sprintf "field %S must be an integer" name)
-    | None -> Error (Printf.sprintf "missing field %S" name)
+  let open Obs_json in
+  let site row =
+    let* () = fields str [ "func" ] row in
+    let* k = str "kind" row in
+    let* () =
+      expect (kind_of_string k <> None)
+        (Printf.sprintf "unknown check kind %S" k)
+    in
+    fields int [ "site"; "tier"; "hits"; "npe"; "traps"; "misses" ] row
   in
-  let str_field obj name =
-    match Obs_json.member name obj with
-    | Some (Obs_json.Str _) -> Ok ()
-    | Some _ -> Error (Printf.sprintf "field %S must be a string" name)
-    | None -> Error (Printf.sprintf "missing field %S" name)
+  let block row =
+    let* () = fields str [ "func" ] row in
+    fields int [ "block"; "count"; "spec_reads" ] row
   in
-  let* () =
-    match Obs_json.member "schema" j with
-    | Some (Obs_json.Str s) when s = schema -> Ok ()
-    | Some (Obs_json.Str s) -> Error (Printf.sprintf "unknown schema %S" s)
-    | Some _ -> Error "field \"schema\" must be a string"
-    | None -> Error "missing field \"schema\""
-  in
-  let* () =
-    match Obs_json.member "schema_version" j with
-    | Some (Obs_json.Int v) when v = schema_version -> Ok ()
-    | Some (Obs_json.Int v) ->
-      Error (Printf.sprintf "unsupported schema_version %d" v)
-    | Some _ -> Error "field \"schema_version\" must be an integer"
-    | None -> Error "missing field \"schema_version\""
-  in
-  let* () =
-    match Obs_json.member "sites" j with
-    | Some (Obs_json.List rows) ->
-      List.fold_left
-        (fun acc row ->
-          let* () = acc in
-          let* () = int_field row "site" in
-          let* () = str_field row "func" in
-          let* () =
-            match Obs_json.member "kind" row with
-            | Some (Obs_json.Str k) -> (
-              match kind_of_string k with
-              | Some _ -> Ok ()
-              | None -> Error (Printf.sprintf "unknown check kind %S" k))
-            | _ -> Error "site row: field \"kind\" must be a string"
-          in
-          let* () = int_field row "tier" in
-          let* () = int_field row "hits" in
-          let* () = int_field row "npe" in
-          let* () = int_field row "traps" in
-          int_field row "misses")
-        (Ok ()) rows
-    | Some _ -> Error "field \"sites\" must be a list"
-    | None -> Error "missing field \"sites\""
-  in
-  let* () =
-    match Obs_json.member "blocks" j with
-    | Some (Obs_json.List rows) ->
-      List.fold_left
-        (fun acc row ->
-          let* () = acc in
-          let* () = str_field row "func" in
-          let* () = int_field row "block" in
-          let* () = int_field row "count" in
-          int_field row "spec_reads")
-        (Ok ()) rows
-    | Some _ -> Error "field \"blocks\" must be a list"
-    | None -> Error "missing field \"blocks\""
-  in
-  int_field j "other_traps"
+  let* () = header ~version:schema_version schema j in
+  let* () = each "sites" site j in
+  let* () = each "blocks" block j in
+  fields int [ "other_traps" ] j

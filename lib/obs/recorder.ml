@@ -258,77 +258,56 @@ let to_json (t : t) : Obs_json.t =
        else [])
     @ [ ("events", Obs_json.List (List.map event_to_json (dump t))) ])
 
-let validate (j : Obs_json.t) : (unit, string) result =
-  let ( let* ) r f = Result.bind r f in
-  let* () =
-    match Obs_json.member "schema" j with
-    | Some (Obs_json.Str s) when s = schema -> Ok ()
-    | Some (Obs_json.Str s) ->
-      Error (Printf.sprintf "unsupported schema %s (want %s)" s schema)
-    | _ -> Error "missing schema"
+let event_of_json e : (event, string) result =
+  let open Obs_json in
+  let* ev_ts = num "ts" e in
+  let* ev_domain = int "domain" e in
+  let* k = str "kind" e in
+  let* ev_kind =
+    Option.to_result ~none:(Printf.sprintf "unknown event kind %s" k)
+      (kind_of_name k)
   in
+  let* ev_a = int "a" e in
+  let* ev_b = int "b" e in
+  (* context fields are absent from pre-context dumps *)
+  let ctx name = Result.map (Option.value ~default:(-1)) (opt int name e) in
+  let* cx_tenant = ctx "tenant" in
+  let* cx_request = ctx "request" in
+  let* cx_span = ctx "span" in
+  let* cx_parent = ctx "parent" in
+  Ok
+    {
+      ev_ts;
+      ev_domain;
+      ev_kind;
+      ev_a;
+      ev_b;
+      ev_ctx = { Ctx.cx_tenant; cx_request; cx_span; cx_parent };
+    }
+
+let of_json (j : Obs_json.t) : (int * event list, string) result =
+  let open Obs_json in
+  let* () = header ~version:schema_version schema j in
+  let* capacity = int "capacity" j in
+  let* dropped = int "dropped" j in
   let* () =
-    match (Obs_json.member "capacity" j, Obs_json.member "dropped" j) with
-    | Some (Obs_json.Int c), Some (Obs_json.Int d) when c >= 1 && d >= 0 ->
-      Ok ()
-    | _ -> Error "capacity/dropped must be non-negative integers"
+    expect (capacity >= 1 && dropped >= 0)
+      "capacity/dropped must be non-negative integers"
   in
+  (* the drop warning, when present, must accompany a positive count *)
+  let* warning = opt str "warning" j in
   let* () =
-    (* the drop warning, when present, must accompany a positive count *)
-    match (Obs_json.member "warning" j, Obs_json.member "dropped" j) with
-    | None, _ -> Ok ()
-    | Some (Obs_json.Str _), Some (Obs_json.Int d) when d > 0 -> Ok ()
-    | Some (Obs_json.Str _), _ -> Error "warning present but dropped = 0"
-    | Some _, _ -> Error "warning must be a string"
+    expect (warning = None || dropped > 0) "warning present but dropped = 0"
   in
-  match Obs_json.member "events" j with
-  | Some (Obs_json.List evs) ->
-    let opt_int name e =
-      match Obs_json.member name e with
-      | None | Some (Obs_json.Int _) -> true
-      | Some _ -> false
-    in
-    let check_event prev_ts e =
-      let* prev_ts = prev_ts in
-      match
-        ( Obs_json.member "ts" e,
-          Obs_json.member "domain" e,
-          Obs_json.member "kind" e,
-          Obs_json.member "a" e,
-          Obs_json.member "b" e )
-      with
-      | Some ((Obs_json.Float _ | Obs_json.Int _) as jts),
-        Some (Obs_json.Int _),
-        Some (Obs_json.Str k),
-        Some (Obs_json.Int _),
-        Some (Obs_json.Int _) ->
-        let ts =
-          match jts with
-          | Obs_json.Int i -> float_of_int i
-          | Obs_json.Float f -> f
-          | _ -> 0.
-        in
-        let* () =
-          match kind_of_name k with
-          | Some _ -> Ok ()
-          | None -> Error (Printf.sprintf "unknown event kind %s" k)
-        in
-        let* () =
-          if
-            List.for_all
-              (fun n -> opt_int n e)
-              [ "tenant"; "request"; "span"; "parent" ]
-          then Ok ()
-          else Error "context fields must be integers"
-        in
-        if ts +. 1e-9 < prev_ts then
-          Error "events not sorted by timestamp"
-        else Ok ts
-      | _ -> Error "event missing ts/domain/kind/a/b"
-    in
-    let* _ = List.fold_left check_event (Ok neg_infinity) evs in
-    Ok ()
-  | _ -> Error "missing events list"
+  let* events = rows "events" event_of_json j in
+  let rec sorted = function
+    | a :: (b :: _ as rest) -> b.ev_ts +. 1e-9 >= a.ev_ts && sorted rest
+    | _ -> true
+  in
+  let* () = expect (sorted events) "events not sorted by timestamp" in
+  Ok (dropped, events)
+
+let validate j = Result.map ignore (of_json j)
 
 let to_trace (t : t) : Trace.event list =
   match dump t with

@@ -97,9 +97,14 @@ val to_json : t -> Obs_json.t
     {!dump}.  When [D > 0] a ["warning"] string member calls out that
     the oldest part of the timeline was overwritten. *)
 
+val of_json : Obs_json.t -> (int * event list, string) result
+(** Read back a {!to_json} document: the dropped count and the events.
+    Context fields are optional (pre-context dumps read as
+    {!Ctx.none}); anything else malformed — an unknown event kind, a
+    non-integer field, unsorted timestamps — is an [Error]. *)
+
 val validate : Obs_json.t -> (unit, string) result
-(** Structural validation of a {!to_json} document (context fields are
-    optional for pre-context dumps). *)
+(** [Result.map ignore] of {!of_json}. *)
 
 val to_trace : t -> Trace.event list
 (** The retained events as zero-duration Chrome trace instants

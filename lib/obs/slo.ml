@@ -250,73 +250,38 @@ let to_json ?now (t : t) : Obs_json.t =
     ]
 
 let validate (j : Obs_json.t) : (unit, string) result =
-  let ( let* ) r f = Result.bind r f in
-  let num name o =
-    match Obs_json.member name o with
-    | Some (Obs_json.Float f) -> Ok f
-    | Some (Obs_json.Int i) -> Ok (float_of_int i)
-    | _ -> Error (Printf.sprintf "missing numeric %s" name)
+  let open Obs_json in
+  let status o =
+    let* s = str "status" o in
+    expect (status_of_name s <> None) "status must be healthy/degraded/failing"
   in
-  let* () =
-    match Obs_json.member "schema" j with
-    | Some (Obs_json.Str s) when s = schema -> Ok ()
-    | Some (Obs_json.Str s) ->
-      Error (Printf.sprintf "unsupported schema %s (want %s)" s schema)
-    | _ -> Error "missing schema"
+  let objective o =
+    let* name = str "name" o in
+    Result.map_error (Printf.sprintf "objective %s: %s" name)
+      (let* kind = str "kind" o in
+       let* () =
+         expect
+           (kind = "latency" || kind = "availability")
+           "kind must be latency or availability"
+       in
+       let* target = num "target" o in
+       let* () =
+         expect (target >= 0. && target <= 1.) "target must be in [0,1]"
+       in
+       let* () = status o in
+       let* sb = num "short_burn" o in
+       let* lb = num "long_burn" o in
+       let* () = expect (sb >= 0. && lb >= 0.) "burns must be >= 0" in
+       let* st = int "short_total" o in
+       let* lt = int "long_total" o in
+       expect (st >= 0 && lt >= 0) "totals must be non-negative integers")
   in
+  let* () = header ~version:schema_version schema j in
   let* sw = num "short_window" j in
   let* lw = num "long_window" j in
   let* () =
-    if sw > 0. && lw >= sw then Ok ()
-    else Error "want 0 < short_window <= long_window"
+    expect (sw > 0. && lw >= sw) "want 0 < short_window <= long_window"
   in
-  let* _ = num "degraded_burn" j in
-  let* _ = num "failing_burn" j in
-  let* () =
-    match Obs_json.member "status" j with
-    | Some (Obs_json.Str s) when status_of_name s <> None -> Ok ()
-    | _ -> Error "status must be healthy/degraded/failing"
-  in
-  match Obs_json.member "objectives" j with
-  | Some (Obs_json.List objs) ->
-    let check o =
-      let* name =
-        match Obs_json.member "name" o with
-        | Some (Obs_json.Str s) -> Ok s
-        | _ -> Error "objective missing name"
-      in
-      let fail msg = Error (Printf.sprintf "objective %s: %s" name msg) in
-      let* () =
-        match Obs_json.member "kind" o with
-        | Some (Obs_json.Str ("latency" | "availability")) -> Ok ()
-        | _ -> fail "kind must be latency or availability"
-      in
-      let* target = num "target" o in
-      let* () =
-        if target >= 0. && target <= 1. then Ok ()
-        else fail "target must be in [0,1]"
-      in
-      let* () =
-        match Obs_json.member "status" o with
-        | Some (Obs_json.Str s) when status_of_name s <> None -> Ok ()
-        | _ -> fail "status must be healthy/degraded/failing"
-      in
-      let* sb = num "short_burn" o in
-      let* lb = num "long_burn" o in
-      let* () =
-        if sb >= 0. && lb >= 0. then Ok () else fail "burns must be >= 0"
-      in
-      match
-        (Obs_json.member "short_total" o, Obs_json.member "long_total" o)
-      with
-      | Some (Obs_json.Int s), Some (Obs_json.Int l) when s >= 0 && l >= 0
-        ->
-        Ok ()
-      | _ -> fail "totals must be non-negative integers"
-    in
-    List.fold_left
-      (fun acc o ->
-        let* () = acc in
-        check o)
-      (Ok ()) objs
-  | _ -> Error "missing objectives list"
+  let* () = fields num [ "degraded_burn"; "failing_burn" ] j in
+  let* () = status j in
+  each "objectives" objective j

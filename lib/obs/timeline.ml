@@ -209,68 +209,37 @@ let to_json ?(dropped = 0) (tls : t list) : Obs_json.t =
     ]
 
 let validate (j : Obs_json.t) : (unit, string) result =
-  let ( let* ) r f = Result.bind r f in
+  let open Obs_json in
+  let count name =
+    let* n = int name j in
+    let* () = expect (n >= 0) (name ^ " must be a non-negative integer") in
+    Ok n
+  in
+  let span sp =
+    let* _ = num "ts" sp in
+    let* k = str "kind" sp in
+    expect (Recorder.kind_of_name k <> None) "span missing ts/kind"
+  in
+  let timeline tl =
+    let* req = int "request" tl in
+    let* () = expect (req >= 0) "timeline missing request id" in
+    Result.map_error (Printf.sprintf "request %d: %s" req)
+      (let* p = str "phase" tl in
+       let* () =
+         expect (phase_of_name p <> None)
+           "phase must be completed/shed/inflight"
+       in
+       each "spans" span tl)
+  in
+  let* () = header ~version:schema_version schema j in
+  let* _ = count "dropped" in
+  let* total = count "requests" in
+  let* c = count "completed" in
+  let* s = count "shed" in
+  let* i = count "inflight" in
   let* () =
-    match Obs_json.member "schema" j with
-    | Some (Obs_json.Str s) when s = schema -> Ok ()
-    | Some (Obs_json.Str s) ->
-      Error (Printf.sprintf "unsupported schema %s (want %s)" s schema)
-    | _ -> Error "missing schema"
+    expect (c + s + i = total) "completed + shed + inflight <> requests"
   in
-  let int_ge0 name =
-    match Obs_json.member name j with
-    | Some (Obs_json.Int i) when i >= 0 -> Ok i
-    | _ -> Error (Printf.sprintf "%s must be a non-negative integer" name)
-  in
-  let* _ = int_ge0 "dropped" in
-  let* total = int_ge0 "requests" in
-  let* c = int_ge0 "completed" in
-  let* s = int_ge0 "shed" in
-  let* i = int_ge0 "inflight" in
-  let* () =
-    if c + s + i = total then Ok ()
-    else Error "completed + shed + inflight <> requests"
-  in
-  match Obs_json.member "timelines" j with
-  | Some (Obs_json.List tls) ->
-    let* n =
-      List.fold_left
-        (fun acc tl ->
-          let* n = acc in
-          let* req =
-            match Obs_json.member "request" tl with
-            | Some (Obs_json.Int r) when r >= 0 -> Ok r
-            | _ -> Error "timeline missing request id"
-          in
-          let fail msg =
-            Error (Printf.sprintf "request %d: %s" req msg)
-          in
-          let* () =
-            match Obs_json.member "phase" tl with
-            | Some (Obs_json.Str p) when phase_of_name p <> None -> Ok ()
-            | _ -> fail "phase must be completed/shed/inflight"
-          in
-          let* () =
-            match Obs_json.member "spans" tl with
-            | Some (Obs_json.List spans) ->
-              if
-                List.for_all
-                  (fun sp ->
-                    match
-                      ( Obs_json.member "ts" sp,
-                        Obs_json.member "kind" sp )
-                    with
-                    | ( Some (Obs_json.Float _ | Obs_json.Int _),
-                        Some (Obs_json.Str k) ) ->
-                      Recorder.kind_of_name k <> None
-                    | _ -> false)
-                  spans
-              then Ok ()
-              else fail "span missing ts/kind"
-            | _ -> fail "missing spans list"
-          in
-          Ok (n + 1))
-        (Ok 0) tls
-    in
-    if n = total then Ok () else Error "requests count <> timelines length"
-  | _ -> Error "missing timelines list"
+  let* tls = list "timelines" j in
+  let* () = each "timelines" timeline j in
+  expect (List.length tls = total) "requests count <> timelines length"

@@ -225,6 +225,8 @@ let stop (t : t) : unit =
 (* The observability routes                                            *)
 (* ------------------------------------------------------------------ *)
 
+let tenants_schema = "nullelim-tenants/1"
+
 let tenants_json (metrics : Metrics.t) : Json.t =
   let tenants = Metrics.label_values metrics "svc_requests_submitted_total" "tenant" in
   let per_tenant tenant =
@@ -259,10 +261,27 @@ let tenants_json (metrics : Metrics.t) : Json.t =
   in
   Json.Obj
     [
-      ("schema", Json.Str "nullelim-tenants/1");
+      ("schema", Json.Str tenants_schema);
       ("schema_version", Json.Int 1);
       ("tenants", Json.List (List.map per_tenant tenants));
     ]
+
+let validate_tenants (j : Json.t) : (unit, string) result =
+  let open Json in
+  let tenant tn =
+    let* () = fields str [ "tenant" ] tn in
+    let* submitted = int "submitted" tn in
+    let* completed = int "completed" tn in
+    let* shed = int "shed" tn in
+    let* () =
+      expect
+        (submitted >= 0 && completed >= 0 && shed >= 0)
+        "counts must be non-negative"
+    in
+    fields (nullable num) [ "queue_wait_p99"; "compile_p99" ] tn
+  in
+  let* () = header ~version:1 tenants_schema j in
+  each "tenants" tenant j
 
 let obs_routes ?(metrics = Metrics.global) ?(recorder = Recorder.global)
     ?slo () : route list =

@@ -79,6 +79,14 @@ val obs_routes :
       ([nullelim-tenants/1]): submitted/completed/shed counts and p99
       queue-wait/compile latency per tenant label. *)
 
+val tenants_schema : string
+(** ["nullelim-tenants/1"]. *)
+
+val tenants_json : Nullelim_obs.Metrics.t -> Nullelim_obs.Obs_json.t
+(** The [/tenants] document for a registry. *)
+
+val validate_tenants : Nullelim_obs.Obs_json.t -> (unit, string) result
+
 val get : address -> string -> (int * string, string) result
 (** Minimal blocking GET against a server (the CI smoke's probe and the
     serve tests' client): [Ok (status, body)] or [Error message] on

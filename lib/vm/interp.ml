@@ -27,7 +27,6 @@ module Ir = Nullelim_ir.Ir
 module Arch = Nullelim_arch.Arch
 module Trace = Nullelim_obs.Trace
 module Metrics = Nullelim_obs.Metrics
-module Log = Nullelim_obs.Log
 module Profile = Nullelim_obs.Profile
 open Value
 
@@ -156,10 +155,7 @@ let null_deref st ~fname ~tier ~blk ~(prev : Ir.instr option)
       st.c.implicit_miss <- st.c.implicit_miss + 1;
       (match st.profile with
       | Some p -> Profile.record_miss ~tier p ~func:fname ~site:s
-      | None -> ());
-      Log.debug
-        "implicit check missed: null deref of v%d at offset %d not trapped"
-        base offset
+      | None -> ())
     | None ->
       st.c.spec_null_reads <- st.c.spec_null_reads + 1;
       (match st.profile with

@@ -178,6 +178,246 @@ let test_ablation () =
     (v "lu-decomposition" "full (4 iters)"
     < v "lu-decomposition" "no simplify/arrays")
 
+(* ------------------------------------------------------------------ *)
+(* Document registry                                                   *)
+(* ------------------------------------------------------------------ *)
+
+module Schemas = Nullelim_experiments.Schemas
+module PR = Nullelim_experiments.Profile_report
+module SS = Nullelim_experiments.Steady_state
+module LG = Nullelim_experiments.Loadgen
+module NB = Nullelim_experiments.Native_bench
+
+let set_field k v = function
+  | Json.Obj kvs ->
+    Json.Obj (List.map (fun (k', v') -> (k', if k' = k then v else v')) kvs)
+  | j -> j
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* One row per registered schema: the member key it takes in a bench
+   report, a document from its producer, and a corruption of that
+   document its validator must reject. *)
+let registry_table () =
+  let metrics = Obs.Metrics.create () in
+  let tenant t = [ ("tenant", t) ] in
+  Obs.Metrics.inc
+    (Obs.Metrics.counter metrics ~labels:(tenant "0")
+       "svc_requests_submitted_total")
+    3;
+  Obs.Metrics.inc
+    (Obs.Metrics.counter metrics ~labels:(tenant "0")
+       "svc_requests_completed_total")
+    2;
+  Obs.Metrics.observe
+    (Obs.Metrics.histogram metrics ~labels:(tenant "0") "svc_compile_seconds")
+    0.01;
+  Obs.Metrics.set (Obs.Metrics.gauge metrics "depth") 1.;
+  let profile = Obs.Profile.create () in
+  Obs.Profile.hit_block profile ~func:"main" ~block:0;
+  let recorder = Obs.Recorder.create ~capacity:16 () in
+  let ctx = { Obs.Ctx.none with Obs.Ctx.cx_tenant = 0; cx_request = 1 } in
+  List.iter
+    (fun k -> Obs.Recorder.record ~ctx ~a:1 recorder k)
+    Obs.Recorder.[ Req_enqueue; Req_start; Req_done ];
+  let slo =
+    Obs.Slo.create metrics
+      [
+        Obs.Slo.latency ~name:"compile-latency" ~metric:"svc_compile_seconds"
+          ~threshold:0.1 ~target:0.99;
+      ]
+  in
+  let w name = Option.get (Nullelim_workloads.Registry.find name) in
+  let dynamic =
+    PR.dynamic_json ~scale:1
+      [
+        List.map
+          (fun cfg ->
+            PR.collect ~scale:1 ~arch:Arch.ia32_windows cfg (w "bitfield"))
+          PR.profile_configs;
+      ]
+  in
+  let tiered =
+    let config = { Config.new_full with Config.promote_calls = 3 } in
+    SS.tiered_json ~mode:"sync"
+      [ SS.collect ~config ~runs:6 ~arch:Arch.ia32_windows (w "bitfield") ]
+      (SS.forced_deopt ~config ~arch:Arch.ia32_windows ())
+  in
+  let loadgen =
+    LG.to_json
+      {
+        LG.lg_domains = 2;
+        lg_queue_capacity = 16;
+        lg_duration = 0.5;
+        lg_seed = 7;
+        lg_tenants = 1;
+        lg_tenant_cap = 0;
+        lg_calibration =
+          { LG.cal_jobs = 4; cal_mean_seconds = 0.002; cal_base_rate = 500. };
+        lg_rows =
+          [
+            {
+              LG.lr_multiplier = 0.5;
+              lr_offered_rate = 250.;
+              lr_offered = 10;
+              lr_completed = 9;
+              lr_shed = 1;
+              lr_elapsed = 0.04;
+              lr_throughput = 225.;
+              lr_mean_ms = 2.;
+              lr_p50_ms = 2.;
+              lr_p90_ms = 3.;
+              lr_p99_ms = 4.;
+              lr_p999_ms = 4.;
+              lr_hist_p99_ms = 4.;
+              lr_tenants =
+                [
+                  {
+                    LG.tn_tenant = 0;
+                    tn_offered = 10;
+                    tn_completed = 9;
+                    tn_shed = 1;
+                  };
+                ];
+            };
+          ];
+        lg_saturation_throughput = 225.;
+        lg_overhead = None;
+      }
+  in
+  let native =
+    NB.to_json
+      {
+        NB.nb_arch = "ia32-windows";
+        nb_checks = 800;
+        nb_traps = 10;
+        nb_explicit_ns = 900.;
+        nb_implicit_ns = 800.;
+        nb_baseline_ns = 800.;
+        nb_explicit_check_ns = 0.125;
+        nb_implicit_check_ns = 0.;
+        nb_recovery_ns = 2000.;
+        nb_model_explicit_check_ns = 0.5;
+        nb_implicit_check_instrs = 0;
+      }
+  in
+  let fuzz =
+    Fuzz_report.to_json
+      {
+        Fuzz_report.fz_seed = 42;
+        fz_count = 1;
+        fz_gen_version = Gen.gen_version;
+        fz_size = 24;
+        fz_arch = "ia32-windows";
+        fz_jobs = 0;
+        fz_mutate = false;
+        fz_passed = 1;
+        fz_skipped = 0;
+        fz_failed = 0;
+        fz_pool_compiles = 0;
+        fz_cache_hits = 0;
+        fz_seconds = 0.1;
+        fz_distribution = Fuzz_report.empty_distribution;
+        fz_failures = [];
+      }
+  in
+  let corpus =
+    Fuzz_report.corpus_entry_to_json
+      {
+        Fuzz_report.ce_seed = 1;
+        ce_gen_version = Gen.gen_version;
+        ce_size = 24;
+        ce_note = "";
+      }
+  in
+  [
+    ( "metrics",
+      Obs.Metrics.snapshot metrics,
+      set_field "counters" (Json.Str "x") );
+    ( "profile",
+      Obs.Profile.to_json profile,
+      set_field "other_traps" (Json.Str "x") );
+    ( "flight",
+      Obs.Recorder.to_json recorder,
+      set_field "dropped" (Json.Int (-1)) );
+    ("slo", Obs.Slo.to_json slo, set_field "short_window" (Json.Float 0.));
+    ( "timelines",
+      Obs.Timeline.to_json
+        (Obs.Timeline.of_events (Obs.Recorder.dump recorder)),
+      set_field "requests" (Json.Int 999) );
+    ("fuzz", fuzz, set_field "mutate" (Json.Int 1));
+    ("corpus", corpus, set_field "seed" (Json.Str "x"));
+    ("dynamic", dynamic, set_field "rows" (Json.List [ Json.Obj [] ]));
+    ("tiered", tiered, set_field "mode" (Json.Str "warp"));
+    ("loadgen", loadgen, set_field "rows" (Json.List []));
+    ( "tenants",
+      Status.tenants_json metrics,
+      set_field "tenants" (Json.List [ Json.Obj [ ("tenant", Json.Int 0) ] ]) );
+    ("native", native, set_field "checks" (Json.Int 0));
+    ( "native_fallback",
+      NB.unavailable_json "no cc",
+      set_field "reason" (Json.Int 1) );
+  ]
+
+let test_registry () =
+  let table = registry_table () in
+  let baseline =
+    let text =
+      In_channel.with_open_bin "../BENCH_baseline.json" In_channel.input_all
+    in
+    match Json.of_string text with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "BENCH_baseline.json: %s" e
+  in
+  let with_member key doc =
+    match baseline with
+    | Json.Obj kvs -> Json.Obj (List.remove_assoc key kvs @ [ (key, doc) ])
+    | _ -> Alcotest.fail "baseline is not an object"
+  in
+  (* the table covers the whole registry *)
+  let schema_of doc =
+    match Json.member "schema" doc with Some (Json.Str s) -> s | _ -> ""
+  in
+  Alcotest.(check (list string))
+    "every registered schema has a row"
+    (List.sort_uniq compare (List.map (fun d -> d.Json.schema) Schemas.all))
+    (List.sort_uniq compare
+       (List.map (fun (_, doc, _) -> schema_of doc) table));
+  (match Schemas.validate baseline with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "BENCH_baseline.json: %s" e);
+  List.iter
+    (fun (key, doc, corrupt) ->
+      (* (a) the producer's document passes, bare and as a member *)
+      (match Schemas.validate doc with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "%s: %s" key e);
+      (match Schemas.validate (with_member key doc) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "baseline + %s: %s" key e);
+      (* (b) a corrupted member fails the whole report, naming the key *)
+      match Schemas.validate (with_member key (corrupt doc)) with
+      | Ok _ -> Alcotest.failf "corrupt %s member accepted" key
+      | Error e ->
+        if not (contains e (Printf.sprintf "%S" key)) then
+          Alcotest.failf "error for corrupt %s does not name it: %s" key e)
+    table;
+  (* (c) an unknown schema is rejected by name, bare and as a member *)
+  let unknown = Json.Obj [ ("schema", Json.Str "nullelim-nope/1") ] in
+  List.iter
+    (fun doc ->
+      match Schemas.validate doc with
+      | Ok _ -> Alcotest.fail "unknown schema accepted"
+      | Error e ->
+        if not (contains e "nullelim-nope/1") then
+          Alcotest.failf "error does not name the schema: %s" e)
+    [ unknown; with_member "mystery" unknown ]
+
 let () =
   Alcotest.run "experiments"
     [
@@ -204,6 +444,8 @@ let () =
       ( "ablation",
         [ Alcotest.test_case "iteration/inlining/arrays" `Quick test_ablation ]
       );
+      ( "registry",
+        [ Alcotest.test_case "every document type" `Quick test_registry ] );
       ( "tables6-7",
         [
           Alcotest.test_case "speculation story" `Quick test_speculation_story;

@@ -147,6 +147,7 @@ let test_metrics_validate_rejects () =
       Json.Obj [ ("schema_version", Json.Int 999) ];
       Json.Obj
         [
+          ("schema", Json.Str Obs.Metrics.schema);
           ("schema_version", Json.Int Obs.Metrics.schema_version);
           ("counters", Json.List [ Json.Obj [ ("name", Json.Str "a") ] ]);
           ("gauges", Json.List []);
