@@ -283,12 +283,16 @@ let backend_arg =
    native path cannot run this program on this host demotes to the
    interpreter, loudly. *)
 let run_native_or_fallback ~arch (compiled : Compiler.compiled) =
-  match Native.run_program ~arch compiled.Compiler.program with
-  | Ok r ->
+  let ms ns = Int64.to_float ns /. 1e6 in
+  match Native.compile ~arch compiled.Compiler.program with
+  | Ok c ->
+    let r = Fun.protect ~finally:(fun () -> Native.close c) (fun () -> Native.run c)
+    and bt = Native.build_times c in
     Fmt.pr "backend        : native (real hardware traps)@.";
     Fmt.pr "hardware traps : %d@." r.Native.r_traps;
-    Fmt.pr "native wall    : %.3f ms@."
-      (Int64.to_float r.Native.r_wall_ns /. 1e6);
+    Fmt.pr "native build   : emit %.3f ms, cc %.3f ms, dlopen %.3f ms@."
+      (ms bt.Native.bt_emit_ns) (ms bt.Native.bt_cc_ns) (ms bt.Native.bt_dlopen_ns);
+    Fmt.pr "native wall    : %.3f ms@." (ms r.Native.r_wall_ns);
     r.Native.r_result
   | Error msg ->
     Fmt.epr "warning: native backend unavailable (%s); falling back to interp@."
@@ -414,7 +418,8 @@ let native_bench_cmd =
   let repeats_arg =
     Cmdliner.Arg.(
       value & opt int 3
-      & info [ "repeats" ] ~docv:"N" ~doc:"Take the best of N runs.")
+      & info [ "repeats" ] ~docv:"N"
+          ~doc:"Run each kernel N times (best time; per-check median and noise).")
   in
   let json_arg =
     Cmdliner.Arg.(

@@ -1,4 +1,8 @@
-(* C code emitter: lowers IR to self-contained C translation units.
+(* C code emitter: lowers a whole IR program to one self-contained C
+   translation unit — the runtime header, the module part (globals,
+   allocators, vtables, the fault-PC -> site table, ne_run_main), then
+   every function — so the C compiler runs once per module and parses
+   the system headers once.
 
    The output contract is the whole point of the backend (DESIGN.md
    section 16): explicit null checks become a compare-and-branch to the
@@ -39,7 +43,7 @@ type stats = {
 }
 
 type emitted = {
-  em_files : (string * string) list;
+  em_source : string;
   em_entry : string;
   em_class_names : string array;
   em_user_exns : string array;
@@ -294,6 +298,11 @@ let func_recovers_locally ctx (f : Ir.func) =
 
 let func_has_traps ctx (f : Ir.func) =
   Array.exists (block_can_trap ctx) f.fn_blocks
+
+let signature ctx (f : Ir.func) =
+  Printf.sprintf "int64_t %s(%s)" (cfn_of ctx f.fn_name)
+    (if f.fn_nparams = 0 then "void"
+     else String.concat ", " (List.init f.fn_nparams (Printf.sprintf "int64_t p%d")))
 
 let emit_func ctx (f : Ir.func) : string =
   let fk = Hashtbl.find ctx.kinds f.fn_name in
@@ -577,12 +586,7 @@ let emit_func ctx (f : Ir.func) : string =
     f.fn_blocks;
   (* Assemble: prologue + recovery switch + body + epilogue. *)
   let out = Buffer.create (Buffer.length body + 1024) in
-  let params =
-    List.init f.fn_nparams (fun i -> Printf.sprintf "int64_t p%d" i)
-  in
-  bpf out "__attribute__((noinline, noclone, used))\nint64_t %s(%s)\n{\n"
-    (cfn_of ctx f.fn_name)
-    (if params = [] then "void" else String.concat ", " params);
+  bpf out "__attribute__((noinline, noclone, used))\n%s\n{\n" (signature ctx f);
   bpf out
     "  if (++*NE_DEPTH > 2000) { *NE_PENDING = -3; --*NE_DEPTH; return 0; }\n";
   for v = 0 to f.fn_nvars - 1 do
@@ -617,11 +621,14 @@ let emit_func ctx (f : Ir.func) : string =
 
 (* The ABI block must stay textually identical to the copy in
    native_stubs.c; ne_bind checks NE_ABI_VERSION at load time. *)
-let runtime_header ~ncls ~nmeth =
+let runtime_header =
   let b = Buffer.create 2048 in
-  bpf b "#ifndef NE_PROG_H\n#define NE_PROG_H\n";
-  bpf b "#include <stdint.h>\n#include <string.h>\n#include <math.h>\n";
+  bpf b "#include <stdint.h>\n#include <string.h>\n";
   bpf b "#include <setjmp.h>\n\n";
+  (* Prototypes for the libm calls the lowering emits, instead of
+     <math.h>: parsing that header costs more than compiling a small
+     module. *)
+  bpf b "double sqrt(double), exp(double), log(double), sin(double), cos(double);\n\n";
   bpf b "typedef struct ne_frame {\n";
   bpf b "  sigjmp_buf env;\n";
   bpf b "  volatile int32_t trap_idx; /* written by the signal handler */\n";
@@ -638,12 +645,6 @@ let runtime_header ~ncls ~nmeth =
   bpf b "typedef struct ne_site_ent {\n";
   bpf b "  const char *lo, *hi;\n  int32_t idx;\n  int32_t site;\n";
   bpf b "} ne_site_ent;\n\n";
-  bpf b "extern int64_t NE_NULL;\n";
-  bpf b "extern int64_t *NE_FUEL, *NE_DEPTH, *NE_PENDING, *NE_RETK;\n";
-  bpf b "extern volatile int *NE_INREC;\n";
-  bpf b "extern ne_frame **NE_FRAMES;\n";
-  bpf b "extern void *(*NE_ALLOC)(int64_t);\n";
-  bpf b "extern void (*NE_EVP)(int64_t, int64_t);\n\n";
   bpf b "#define NE_EVF(t, a) (NE_EVP((int64_t)(t), (int64_t)(a)))\n";
   (* OCaml's 63-bit integer semantics: re-normalize after arithmetic. *)
   bpf b "#define NE_NORM(x) ((int64_t)((uint64_t)(x) << 1) >> 1)\n";
@@ -656,13 +657,6 @@ let runtime_header ~ncls ~nmeth =
   bpf b "{ double d; memcpy(&d, &v, 8); return d; }\n";
   bpf b "static inline int64_t ne_b(double d)\n";
   bpf b "{ int64_t v; memcpy(&v, &d, 8); return v; }\n\n";
-  bpf b "int64_t ne_new_arr(int64_t is_ref, int64_t len);\n";
-  bpf b "void ne_print_ref(int64_t v);\n";
-  if ncls > 0 then bpf b "int64_t ne_new_c%s(void);\n"
-      (String.concat "(void);\nint64_t ne_new_c"
-         (List.init ncls string_of_int));
-  if ncls > 0 && nmeth > 0 then
-    bpf b "extern void *ne_vt[%d][%d];\n" ncls nmeth;
   Buffer.contents b
 
 let all_fields_of (p : Ir.program) (c : Ir.cls) : Ir.field list =
@@ -679,7 +673,6 @@ let all_fields_of (p : Ir.program) (c : Ir.cls) : Ir.field list =
 
 let emit_mod ctx ~negarr_code ~cls_sorted ~meth_names ~entry_cfn : string =
   let b = Buffer.create 4096 in
-  bpf b "#include \"prog.h\"\n\n";
   bpf b "int64_t NE_NULL;\n";
   bpf b "int64_t *NE_FUEL, *NE_DEPTH, *NE_PENDING, *NE_RETK;\n";
   bpf b "volatile int *NE_INREC;\n";
@@ -885,38 +878,18 @@ let emit ?(trap_area = 4096) ?(fuel_checks = true) (p : Ir.program) :
       in
       go 0
     in
-    let fn_files =
-      List.mapi
-        (fun i (f : Ir.func) ->
-          let src =
-            Printf.sprintf "#include \"prog.h\"\n\n%s" (emit_func ctx f)
-          in
-          (Printf.sprintf "f%d_%s.c" i (sanitize f.fn_name), src))
-        funcs_sorted
-    in
-    (* Function prototypes go into the header after emission so mod.c
-       and every per-function TU see the same signatures. *)
-    let protos = Buffer.create 256 in
-    List.iter
-      (fun (f : Ir.func) ->
-        let params =
-          if f.fn_nparams = 0 then "void"
-          else
-            String.concat ", "
-              (List.init f.fn_nparams (fun i -> Printf.sprintf "int64_t p%d" i))
-        in
-        bpf protos "int64_t %s(%s);\n" (cfn_of ctx f.fn_name) params)
-      funcs_sorted;
-    let header =
-      runtime_header ~ncls:(List.length cls_sorted)
-        ~nmeth:(List.length meth_names)
-      ^ Buffer.contents protos ^ "\n#endif /* NE_PROG_H */\n"
-    in
+    let funcs = List.map (emit_func ctx) funcs_sorted in
+    (* The module part defines its globals, allocators and vtable
+       before any function uses them; only its vtable wrappers and
+       ne_run_main call functions defined after it. *)
+    let protos = List.map (fun f -> signature ctx f ^ ";\n") funcs_sorted in
     let modc =
       emit_mod ctx ~negarr_code ~cls_sorted ~meth_names
         ~entry_cfn:(cfn_of ctx p.prog_main)
     in
-    let files = (("prog.h", header) :: ("mod.c", modc) :: fn_files) in
+    let source =
+      String.concat "\n" (String.concat "" (runtime_header :: protos) :: modc :: funcs)
+    in
     let stats =
       {
         ec_functions = List.length funcs_sorted;
@@ -926,13 +899,12 @@ let emit ?(trap_area = 4096) ?(fuel_checks = true) (p : Ir.program) :
         ec_implicit_sites = ctx.s_implicit_sites;
         ec_implicit_check_instrs = 0;
         ec_trap_entries = ctx.tix;
-        ec_c_bytes =
-          List.fold_left (fun a (_, s) -> a + String.length s) 0 files;
+        ec_c_bytes = String.length source;
       }
     in
     Ok
       {
-        em_files = files;
+        em_source = source;
         em_entry = "ne_run_main";
         em_class_names =
           Array.of_list (List.map (fun (c : Ir.cls) -> c.cname) cls_sorted);

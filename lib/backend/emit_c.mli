@@ -1,6 +1,8 @@
-(** C code emitter: lowers linearized IR to self-contained C
-    translation units, one per function plus a module file and a shared
-    header.
+(** C code emitter: lowers linearized IR to one self-contained C
+    translation unit per program — the runtime header, the module part
+    (globals, allocators, vtables, the fault-PC → site table and the
+    entry point), then every function — so a module costs one compiler
+    run.
 
     The output realizes the paper's code shapes natively:
 
@@ -51,14 +53,14 @@ type stats = {
           construction; asserted in the test suite *)
   ec_trap_entries : int;
       (** bracketed dereferences in the fault-PC → site table *)
-  ec_c_bytes : int;  (** total bytes of generated C *)
+  ec_c_bytes : int;  (** [String.length em_source] *)
 }
 
 (** A fully emitted module, ready to be written out and compiled. *)
 type emitted = {
-  em_files : (string * string) list;
-      (** [(filename, contents)]: ["prog.h"], ["mod.c"], and one
-          [.c] per function *)
+  em_source : string;
+      (** the whole module as one C source; includes only system
+          headers *)
   em_entry : string;  (** the C symbol to run: ["ne_run_main"] *)
   em_class_names : string array;
       (** class-id order; used to render printed object values *)

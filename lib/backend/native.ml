@@ -45,7 +45,8 @@ let with_lock f = Mutex.protect lock f
 (* Availability                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let cc () = Option.value (Sys.getenv_opt "NULLELIM_CC") ~default:"cc"
+let cc () =
+  match Sys.getenv_opt "NULLELIM_CC" with Some c when c <> "" -> c | _ -> "cc"
 
 (* Large enough for every modeled architecture (sparc uses 8192). *)
 let init_trap_area = 8192
@@ -63,28 +64,45 @@ let rm_rf dir =
     Unix.rmdir dir
   end
 
-let cc_flags = "-O2 -fPIC -shared -fwrapv -fno-strict-aliasing"
+let cc_flags = [ "-O2"; "-fPIC"; "-shared"; "-fwrapv"; "-fno-strict-aliasing" ]
 
-let run_cc ~dir ~out cfiles : (unit, string) result =
-  let errf = Filename.concat dir "cc.err" in
-  let cmd =
-    Printf.sprintf "%s %s -o %s %s 2>%s" (Filename.quote (cc ())) cc_flags
-      (Filename.quote out)
-      (String.concat " " (List.map Filename.quote cfiles))
-      (Filename.quote errf)
+(* Run the compiler directly, without a shell: its output goes to
+   [dir/cc.err], the head of which is quoted on failure. *)
+let run_cc ~dir ~out src : (unit, string) result =
+  let cc = cc () and errf = Filename.concat dir "cc.err" in
+  let spawn () =
+    let fd = Unix.openfile errf Unix.[ O_WRONLY; O_CREAT; O_TRUNC; O_CLOEXEC ] 0o600 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () ->
+        let argv = Array.of_list ((cc :: cc_flags) @ [ "-o"; out; src ]) in
+        snd (Unix.waitpid [] (Unix.create_process cc argv Unix.stdin fd fd)))
   in
-  if Sys.command cmd = 0 then Ok ()
-  else
-    let err =
-      try
-        let ic = open_in errf in
-        let n = min (in_channel_length ic) 2000 in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-      with _ -> ""
-    in
-    Error (Printf.sprintf "cc failed (%s): %s" (cc ()) err)
+  let fail msg = Error (Printf.sprintf "cc failed (%s): %s" cc msg) in
+  match spawn () with
+  | Unix.WEXITED 0 -> Ok ()
+  | _ -> (
+    match In_channel.with_open_bin errf In_channel.input_all with
+    | err -> fail (String.sub err 0 (min 2000 (String.length err)))
+    | exception Sys_error _ -> fail "")
+  | exception Unix.Unix_error (e, _, _) -> fail (Unix.error_message e)
+
+let ( let* ) = Result.bind
+
+let write_file path contents =
+  try Ok (Out_channel.with_open_bin path (fun oc -> output_string oc contents))
+  with Sys_error m -> Error ("cannot write C source: " ^ m)
+
+(* [f dir] in a fresh temporary directory, which is deleted again
+   unless [keep] is set and [f] succeeds. *)
+let in_temp_dir ~keep f =
+  match make_temp_dir () with
+  | exception (Sys_error _ | Unix.Unix_error _ as e) ->
+    Error ("cannot create a temporary directory: " ^ Printexc.to_string e)
+  | dir ->
+    let r = try f dir with e -> rm_rf dir; raise e in
+    if not (keep && Result.is_ok r) then rm_rf dir;
+    r
 
 (* One trial compile decides availability for the whole process; the
    result is cached so fallback paths stay cheap. *)
@@ -95,16 +113,11 @@ let trial_compile () =
   | Some b -> b
   | None ->
     let b =
-      try
-        let dir = make_temp_dir () in
-        let src = Filename.concat dir "t.c" in
-        let oc = open_out src in
-        output_string oc "int ne_trial(void) { return 42; }\n";
-        close_out oc;
-        let r = run_cc ~dir ~out:(Filename.concat dir "t.so") [ src ] in
-        rm_rf dir;
-        r = Ok ()
-      with _ -> false
+      in_temp_dir ~keep:false (fun dir ->
+          let src = Filename.concat dir "t.c" in
+          let* () = write_file src "int ne_trial(void) { return 42; }\n" in
+          run_cc ~dir ~out:(Filename.concat dir "t.so") src)
+      = Ok ()
     in
     cc_works := Some b;
     b
@@ -118,15 +131,19 @@ let available () =
 (* Compile                                                            *)
 (* ------------------------------------------------------------------ *)
 
+type build_times = { bt_emit_ns : int64; bt_cc_ns : int64; bt_dlopen_ns : int64 }
+
 type compiled = {
   nc_emitted : Emit_c.emitted;
   nc_dir : string;
   nc_dl : int64;
   nc_entry : int64;
+  nc_build : build_times;
   mutable nc_open : bool;
 }
 
 let stats c = c.nc_emitted.Emit_c.em_stats
+let build_times c = c.nc_build
 
 let arch_supported (a : Arch.t) =
   (* The real guard page faults on every access kind; only model
@@ -134,6 +151,35 @@ let arch_supported (a : Arch.t) =
      without changing observable behavior. *)
   a.Arch.traps_on Arch.Read && a.Arch.traps_on Arch.Write
   && a.Arch.trap_area > 0
+
+(* Write the source, compile it to [dir/mod.so] and load it; the lock
+   is taken only around dlopen, and its wait is not timed. *)
+let build ~dir (em : Emit_c.emitted) ~emit_ns : (compiled, string) result =
+  let t0 = stub_now_ns () in
+  let src = Filename.concat dir "mod.c" and so = Filename.concat dir "mod.so" in
+  let* () = write_file src em.Emit_c.em_source in
+  let* () = run_cc ~dir ~out:so src in
+  let cc_ns = Int64.sub (stub_now_ns ()) t0 in
+  with_lock (fun () ->
+      let t1 = stub_now_ns () in
+      match stub_load so with
+      | exception Failure msg -> Error ("dlopen failed: " ^ msg)
+      | dl -> (
+        match stub_sym dl em.Emit_c.em_entry with
+        | exception Failure msg ->
+          stub_unload dl;
+          Error ("dlopen failed: " ^ msg)
+        | entry ->
+          let dlopen_ns = Int64.sub (stub_now_ns ()) t1 in
+          Ok
+            {
+              nc_emitted = em;
+              nc_dir = dir;
+              nc_dl = dl;
+              nc_entry = entry;
+              nc_build = { bt_emit_ns = emit_ns; bt_cc_ns = cc_ns; bt_dlopen_ns = dlopen_ns };
+              nc_open = true;
+            }))
 
 let compile ?(fuel_checks = true) ~(arch : Arch.t) (p : Ir.program) :
     (compiled, string) result =
@@ -151,45 +197,12 @@ let compile ?(fuel_checks = true) ~(arch : Arch.t) (p : Ir.program) :
   else if not (trial_compile ()) then
     Error (Printf.sprintf "native backend unavailable: %s not usable" (cc ()))
   else
+    let t0 = stub_now_ns () in
     match Emit_c.emit ~trap_area:arch.Arch.trap_area ~fuel_checks p with
     | Error msg -> Error ("emission unsupported: " ^ msg)
-    | Ok em -> (
-      let dir = make_temp_dir () in
-      List.iter
-        (fun (name, content) ->
-          let oc = open_out (Filename.concat dir name) in
-          output_string oc content;
-          close_out oc)
-        em.Emit_c.em_files;
-      let cfiles =
-        List.filter_map
-          (fun (name, _) ->
-            if Filename.check_suffix name ".c" then
-              Some (Filename.concat dir name)
-            else None)
-          em.Emit_c.em_files
-      in
-      let so = Filename.concat dir "mod.so" in
-      match run_cc ~dir ~out:so cfiles with
-      | Error e ->
-        rm_rf dir;
-        Error e
-      | Ok () ->
-        with_lock (fun () ->
-            match stub_load so with
-            | exception Failure msg ->
-              rm_rf dir;
-              Error ("dlopen failed: " ^ msg)
-            | dl ->
-              let entry = stub_sym dl em.Emit_c.em_entry in
-              Ok
-                {
-                  nc_emitted = em;
-                  nc_dir = dir;
-                  nc_dl = dl;
-                  nc_entry = entry;
-                  nc_open = true;
-                }))
+    | Ok em ->
+      let emit_ns = Int64.sub (stub_now_ns ()) t0 in
+      in_temp_dir ~keep:true (fun dir -> build ~dir em ~emit_ns)
 
 let close c =
   with_lock (fun () ->
@@ -218,16 +231,15 @@ let dummy_obj : Value.obj =
   }
 
 let exn_of_code (em : Emit_c.emitted) code : Ir.exn_kind =
-  if code = 1 then Ir.Npe
-  else if code = 2 then Ir.Oob
-  else if code = 3 then Ir.Arith
-  else
-    let i = code - 16 in
-    let names = em.Emit_c.em_user_exns in
-    if i >= 0 && i < Array.length names then Ir.User names.(i)
-    else Ir.User (Printf.sprintf "<unknown exn %d>" code)
+  let names = em.Emit_c.em_user_exns and i = code - 16 in
+  match code with
+  | 1 -> Ir.Npe
+  | 2 -> Ir.Oob
+  | 3 -> Ir.Arith
+  | _ when i >= 0 && i < Array.length names -> Ir.User names.(i)
+  | _ -> Ir.User (Printf.sprintf "<unknown exn %d>" code)
 
-let event_of em null_v (tag, a) : Interp.event =
+let event_of em (tag, a) : Interp.event =
   match tag with
   | 0 -> Interp.Eprint (string_of_int (Int64.to_int a))
   | 1 -> Interp.Eprint (Fmt.str "%g" (Int64.float_of_bits a))
@@ -241,9 +253,7 @@ let event_of em null_v (tag, a) : Interp.event =
     Interp.Eprint (Fmt.str "<%s>" cname)
   | 4 -> Interp.Eprint (Fmt.str "<array[%Ld]>" a)
   | 5 -> Interp.Ecaught (exn_of_code em (Int64.to_int a))
-  | _ ->
-    ignore null_v;
-    Interp.Eprint "<event?>"
+  | _ -> Interp.Eprint "<event?>"
 
 let run ?(fuel = 400_000_000) (c : compiled) : run =
   if not c.nc_open then invalid_arg "Native.run: module is closed";
@@ -255,7 +265,7 @@ let run ?(fuel = 400_000_000) (c : compiled) : run =
       let t1 = stub_now_ns () in
       let trace =
         stub_events () |> Array.to_list
-        |> List.map (event_of c.nc_emitted null_v)
+        |> List.map (event_of c.nc_emitted)
       in
       let outcome =
         if pending = 0 then

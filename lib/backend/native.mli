@@ -40,13 +40,14 @@ val available : unit -> bool
     trial compile with the configured C compiler. *)
 
 val cc : unit -> string
-(** The C compiler command: [$NULLELIM_CC] or ["cc"]. *)
+(** The C compiler, one executable: [$NULLELIM_CC] if non-empty, else
+    ["cc"]. *)
 
 (** {1 Compile and run} *)
 
 type compiled
-(** A loaded shared object: emitted sources on disk, the [dlopen]
-    handle, and the resolved entry point. *)
+(** A loaded shared object: its temporary directory, the [dlopen]
+    handle, the resolved entry point and how long it took to build. *)
 
 val compile :
   ?fuel_checks:bool ->
@@ -54,17 +55,24 @@ val compile :
   Ir.program ->
   (compiled, string) result
 (** Emit ({!Emit_c.emit} with the architecture's trap area), write the
-    translation units to a fresh temporary directory, compile them with
-    [cc -O2 -fPIC -shared -fwrapv -fno-strict-aliasing], [dlopen] the
-    result and register its fault-PC → site table.  [Error] covers:
-    unavailable backend, an architecture whose trap model the real
-    guard page cannot reproduce (it faults on {e every} access kind, so
-    only read+write-trapping models qualify — [ia32_windows], [sparc]),
-    a program outside the native subset, and toolchain failures (the
-    compiler's stderr is included). *)
+    module's one C source to a fresh temporary directory, run
+    [cc -O2 -fPIC -shared -fwrapv -fno-strict-aliasing] on it once (no
+    shell), [dlopen] the result and register its fault-PC → site
+    table.  [Error] covers: unavailable backend, an architecture whose
+    trap model the real guard page cannot reproduce (it faults on
+    {e every} access kind, so only read+write-trapping models qualify —
+    [ia32_windows], [sparc]), a program outside the native subset, and
+    I/O, ["cc failed"] (with the compiler's stderr) and
+    ["dlopen failed: "] errors, after which no directory is left. *)
 
 val stats : compiled -> Emit_c.stats
 (** Emission statistics of the loaded module. *)
+
+(** Monotonic wall time of each layer of {!compile}: emission, writing
+    and compiling the source, and [dlopen] (not its lock wait). *)
+type build_times = { bt_emit_ns : int64; bt_cc_ns : int64; bt_dlopen_ns : int64 }
+
+val build_times : compiled -> build_times
 
 val close : compiled -> unit
 (** [dlclose] the module, unregister its trap table and delete its

@@ -25,7 +25,11 @@
     cost the paper bounds trap conversion by.
 
     Kernels are emitted without fuel checks and timed with the
-    monotonic clock; each measurement is the best of [repeats] runs. *)
+    monotonic clock; a kernel time is the best of [repeats] runs.  A
+    per-check cost is a difference of two kernel times, so it is taken
+    per run: its estimate is the median of those samples and its noise
+    half their range.  A cost at or below the noise is reported as
+    "below resolution" and recorded as 0, never as a negative cost. *)
 
 module Ir = Nullelim_ir.Ir
 module B = Nullelim_ir.Ir_builder
@@ -40,8 +44,9 @@ type result = {
   nb_explicit_ns : float;  (** whole-kernel wall time *)
   nb_implicit_ns : float;
   nb_baseline_ns : float;
-  nb_explicit_check_ns : float;  (** (explicit - implicit) / checks *)
-  nb_implicit_check_ns : float;  (** (implicit - baseline) / checks *)
+  nb_explicit_check_ns : float;  (** median of (explicit - implicit) / checks *)
+  nb_implicit_check_ns : float;  (** median of (implicit - baseline) / checks *)
+  nb_check_noise_ns : float;  (** half the range of the per-check samples *)
   nb_recovery_ns : float;  (** per recovered trap *)
   nb_model_explicit_check_ns : float;
       (** what the simulator charges: [c_explicit_check / clock] *)
@@ -112,23 +117,36 @@ let recovery_kernel ~traps : Ir.program =
   terminate b (Return (Some (Var acc)));
   B.program ~classes:[ node_cls ] ~main:"main" [ finish b ]
 
-let time_best ~repeats ~expect (c : Native.compiled) : (float, string) Stdlib.result =
-  let best = ref infinity in
+(* Every repeat's wall time, in run order. *)
+let time_all ~repeats ~expect (c : Native.compiled) :
+    (float array, string) Stdlib.result =
   let err = ref None in
-  for _ = 1 to repeats do
-    let r = Native.run c in
-    (match r.Native.r_result.Nullelim_vm.Interp.outcome with
-    | Nullelim_vm.Interp.Returned (Some (Nullelim_vm.Value.Vint v))
-      when v = expect ->
-      ()
-    | o ->
-      err :=
-        Some
-          (Fmt.str "kernel returned %a (expected %d)"
-             Nullelim_vm.Interp.pp_outcome o expect));
-    best := Float.min !best (Int64.to_float r.Native.r_wall_ns)
-  done;
-  match !err with Some m -> Error m | None -> Ok !best
+  let samples =
+    Array.init (max 1 repeats) (fun _ ->
+        let r = Native.run c in
+        (match r.Native.r_result.Nullelim_vm.Interp.outcome with
+        | Nullelim_vm.Interp.Returned (Some (Nullelim_vm.Value.Vint v))
+          when v = expect ->
+          ()
+        | o ->
+          err :=
+            Some
+              (Fmt.str "kernel returned %a (expected %d)"
+                 Nullelim_vm.Interp.pp_outcome o expect));
+        Int64.to_float r.Native.r_wall_ns)
+  in
+  match !err with Some m -> Error m | None -> Ok samples
+
+let best = Array.fold_left Float.min infinity
+
+let median a =
+  let a = Array.copy a in
+  Array.sort compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+
+let half_range a =
+  (Array.fold_left Float.max neg_infinity a -. best a) /. 2.
 
 let available = Native.available
 
@@ -142,7 +160,7 @@ let collect ?(iters = 500_000) ?(traps = 2_000) ?(repeats = 3)
       Fun.protect
         ~finally:(fun () -> Native.close c)
         (fun () ->
-          match time_best ~repeats ~expect c with
+          match time_all ~repeats ~expect c with
           | Error m -> Error m
           | Ok ns -> Ok (k c ns))
   in
@@ -165,18 +183,23 @@ let collect ?(iters = 500_000) ?(traps = 2_000) ?(repeats = 3)
         with
         | Error m -> Error m
         | Ok recovery_ns ->
-          let per n = n /. float_of_int checks in
+          let per a b =
+            Array.map2 (fun a b -> (a -. b) /. float_of_int checks) a b
+          in
+          let ex = per explicit_ns implicit_ns
+          and im = per implicit_ns baseline_ns in
           Ok
             {
               nb_arch = arch.Arch.name;
               nb_checks = checks;
               nb_traps = traps;
-              nb_explicit_ns = explicit_ns;
-              nb_implicit_ns = implicit_ns;
-              nb_baseline_ns = baseline_ns;
-              nb_explicit_check_ns = per (explicit_ns -. implicit_ns);
-              nb_implicit_check_ns = per (implicit_ns -. baseline_ns);
-              nb_recovery_ns = recovery_ns /. float_of_int traps;
+              nb_explicit_ns = best explicit_ns;
+              nb_implicit_ns = best implicit_ns;
+              nb_baseline_ns = best baseline_ns;
+              nb_explicit_check_ns = median ex;
+              nb_implicit_check_ns = median im;
+              nb_check_noise_ns = Float.max (half_range ex) (half_range im);
+              nb_recovery_ns = best recovery_ns /. float_of_int traps;
               nb_model_explicit_check_ns =
                 (float_of_int arch.Arch.cost.Arch.c_explicit_check
                 *. 1000. /. arch.Arch.clock_mhz);
@@ -184,6 +207,10 @@ let collect ?(iters = 500_000) ?(traps = 2_000) ?(repeats = 3)
             })))
 
 let schema = "nullelim-native-bench/1"
+
+(* A per-check cost as reported: [None] at or below the noise. *)
+let resolved r x = if x <= r.nb_check_noise_ns then None else Some x
+let recorded r x = Option.value (resolved r x) ~default:0.
 
 let to_json (r : result) : Json.t =
   Json.Obj
@@ -196,8 +223,9 @@ let to_json (r : result) : Json.t =
       ("explicit_kernel_ns", Json.Float r.nb_explicit_ns);
       ("implicit_kernel_ns", Json.Float r.nb_implicit_ns);
       ("baseline_kernel_ns", Json.Float r.nb_baseline_ns);
-      ("explicit_check_ns", Json.Float r.nb_explicit_check_ns);
-      ("implicit_check_ns", Json.Float r.nb_implicit_check_ns);
+      ("explicit_check_ns", Json.Float (recorded r r.nb_explicit_check_ns));
+      ("implicit_check_ns", Json.Float (recorded r r.nb_implicit_check_ns));
+      ("check_noise_ns", Json.Float r.nb_check_noise_ns);
       ("trap_recovery_ns", Json.Float r.nb_recovery_ns);
       ("model_explicit_check_ns", Json.Float r.nb_model_explicit_check_ns);
       ("implicit_check_instrs", Json.Int r.nb_implicit_check_instrs);
@@ -224,6 +252,18 @@ let validate (j : Json.t) : (unit, string) Stdlib.result =
       expect (checks > 0 && traps > 0) "checks and traps must be positive"
     in
     let* () = fields int [ "implicit_check_instrs" ] j in
+    (* documents written before check_noise_ns existed lack it *)
+    let* noise = opt num "check_noise_ns" j in
+    let* () =
+      match noise with
+      | None -> Ok ()
+      | Some n ->
+        let* e = num "explicit_check_ns" j in
+        let* i = num "implicit_check_ns" j in
+        expect
+          (n >= 0. && e >= 0. && i >= 0.)
+          "check costs and their noise must not be negative"
+    in
     fields num
       [
         "explicit_kernel_ns"; "implicit_kernel_ns"; "baseline_kernel_ns";
@@ -232,13 +272,18 @@ let validate (j : Json.t) : (unit, string) Stdlib.result =
       ]
       j
 
+let pp_cost r ppf x =
+  match resolved r x with
+  | Some x -> Fmt.pf ppf "%8.3f ns/check" x
+  | None -> Fmt.pf ppf "below resolution (± %.3f ns)" r.nb_check_noise_ns
+
 let pp ppf (r : result) =
   Fmt.pf ppf
     "@[<v>native trap costs (%s, %d checks, %d traps)@,\
-     explicit check:        %8.3f ns/check@,\
-     implicit check:        %8.3f ns/check (emitted instructions: %d)@,\
+     explicit check:        %a@,\
+     implicit check:        %a (emitted instructions: %d)@,\
      trap recovery:         %8.1f ns/trap@,\
      model explicit check:  %8.3f ns/check@]"
-    r.nb_arch r.nb_checks r.nb_traps r.nb_explicit_check_ns
-    r.nb_implicit_check_ns r.nb_implicit_check_instrs r.nb_recovery_ns
+    r.nb_arch r.nb_checks r.nb_traps (pp_cost r) r.nb_explicit_check_ns
+    (pp_cost r) r.nb_implicit_check_ns r.nb_implicit_check_instrs r.nb_recovery_ns
     r.nb_model_explicit_check_ns

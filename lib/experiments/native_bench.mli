@@ -22,10 +22,16 @@ type result = {
   nb_explicit_ns : float;  (** whole-kernel wall time, best of repeats *)
   nb_implicit_ns : float;
   nb_baseline_ns : float;
-  nb_explicit_check_ns : float;  (** (explicit - implicit) / checks *)
+  nb_explicit_check_ns : float;
+      (** median over repeats of (explicit - implicit) / checks; may be
+          negative when the cost is below {!nb_check_noise_ns} *)
   nb_implicit_check_ns : float;
-      (** (implicit - baseline) / checks — the zero-cost claim,
-          measured *)
+      (** median over repeats of (implicit - baseline) / checks — the
+          zero-cost claim, measured *)
+  nb_check_noise_ns : float;
+      (** half the range of the per-repeat per-check samples, the larger
+          of the two costs'; a cost at or below it is reported as "below
+          resolution" and recorded as [0] by {!pp} and {!to_json} *)
   nb_recovery_ns : float;  (** per recovered trap *)
   nb_model_explicit_check_ns : float;
       (** what the simulator's cost model charges per explicit check *)
@@ -45,7 +51,8 @@ val collect :
   unit ->
   (result, string) Stdlib.result
 (** Run the four kernels ([8 * iters] checks each, [traps] recoveries,
-    best of [repeats]; defaults 500k/2k/3).  [Error] when the native
+    [repeats] runs each; defaults 500k/2k/3).  Kernel times are the
+    best run; per-check costs and their noise come from every run.  [Error] when the native
     backend is unavailable or a kernel misbehaves. *)
 
 val schema : string
@@ -60,6 +67,8 @@ val unavailable_json : string -> Json.t
 
 val validate : Json.t -> (unit, string) Stdlib.result
 (** Either shape of the document: the measured costs, or
-    [{"available": false, "reason": ...}]. *)
+    [{"available": false, "reason": ...}].  [check_noise_ns] is
+    optional, so documents written before it existed still pass; when
+    it is present no check cost may be negative. *)
 
 val pp : result Fmt.t

@@ -300,7 +300,8 @@ let registry_table () =
         nb_implicit_ns = 800.;
         nb_baseline_ns = 800.;
         nb_explicit_check_ns = 0.125;
-        nb_implicit_check_ns = 0.;
+        nb_implicit_check_ns = -0.01;
+        nb_check_noise_ns = 0.02;
         nb_recovery_ns = 2000.;
         nb_model_explicit_check_ns = 0.5;
         nb_implicit_check_instrs = 0;
@@ -359,6 +360,14 @@ let registry_table () =
       Status.tenants_json metrics,
       set_field "tenants" (Json.List [ Json.Obj [ ("tenant", Json.Int 0) ] ]) );
     ("native", native, set_field "checks" (Json.Int 0));
+    ( "native_noise",
+      native,
+      set_field "implicit_check_ns" (Json.Float (-0.01)) );
+    ( "native_before_noise",
+      (match native with
+      | Json.Obj kvs -> Json.Obj (List.remove_assoc "check_noise_ns" kvs)
+      | j -> j),
+      set_field "explicit_check_ns" (Json.Str "x") );
     ( "native_fallback",
       NB.unavailable_json "no cc",
       set_field "reason" (Json.Int 1) );
